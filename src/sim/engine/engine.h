@@ -15,10 +15,9 @@
 //  * after the last due event, the clock advances to `end` (so the final
 //    partial measurement interval is integrated too).
 //
-// Events come in two flavors sharing one total order: closure events
-// (At), convenient for cold paths, and POD payload events (Post), which
-// allocate nothing and are routed to the owner's dispatcher — the hot
-// path that lets RunSimulation sustain 10^8+ events.
+// Every event is a POD payload (Post), routed to the owner's dispatcher;
+// scheduling allocates nothing, which is what lets RunSimulation sustain
+// 10^8+ events.
 #pragma once
 
 #include <cstdint>
@@ -40,15 +39,8 @@ class Engine {
   /// one indirect call instead of one heap-allocated closure each.
   using Dispatcher = std::function<void(const EventPayload&)>;
 
-  explicit Engine(EventQueue::Impl impl = EventQueue::Impl::kCalendar)
-      : queue_(impl) {}
-
   double now() const { return clock_.now(); }
   const SimClock& clock() const { return clock_; }
-
-  void At(double time, EventQueue::Handler handler) {
-    queue_.At(time, std::move(handler));
-  }
 
   /// Schedules a POD payload event; requires a dispatcher before it fires.
   void Post(double time, const EventPayload& payload) {
@@ -63,8 +55,8 @@ class Engine {
   /// Pre-sizes the event queue for about `n` pending events.
   void Reserve(std::size_t n) { queue_.Reserve(n); }
 
-  /// Events fired so far (closure and payload alike) across all RunUntil
-  /// calls — the numerator of the macro-capacity events/sec metric.
+  /// Events fired so far across all RunUntil calls — the numerator of
+  /// the macro-capacity events/sec metric.
   std::int64_t events_processed() const { return events_processed_; }
 
   /// Drains events with time < end_time, then advances to end_time.

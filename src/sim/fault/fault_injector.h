@@ -10,11 +10,11 @@
 //    and drives the resync repair — the timeline never touches ports
 //    itself, keeping the repair path explicit and testable).
 //
-// FaultInjector adapts the timeline to the unified engine: it schedules
-// one engine event per plan entry (and per burst end), each of which just
-// advances the timeline to the engine clock. Injectors are armed before
-// arrival seeding, so a fault at time t fires before any same-time call
-// event — a fixed order, which is all determinism needs.
+// The timeline knows nothing of the engine. RunSimulation owns one and
+// posts a fault payload event per plan entry (and per burst end), each of
+// which just advances the timeline to the engine clock. Those events are
+// posted before arrival seeding, so a fault at time t fires before any
+// same-time call event — a fixed order, which is all determinism needs.
 //
 // Nothing here draws randomness: the plan is fixed data, so a run with a
 // given plan is as deterministic as one without.
@@ -23,12 +23,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/recorder.h"
 #include "signaling/lossy_channel.h"
-#include "sim/engine/engine.h"
 #include "sim/fault/fault_plan.h"
 
 namespace rcbr::sim::fault {
@@ -70,7 +69,6 @@ class FaultTimeline {
 
   bool link_up(std::size_t link) const { return link_up_[link]; }
   std::size_t num_links() const { return link_up_.size(); }
-  const FaultPlan* plan() const { return plan_; }
 
   /// Earliest unapplied event or burst-end time (+infinity when drained).
   double NextEventTime() const;
@@ -96,26 +94,6 @@ class FaultTimeline {
   FaultCallbacks callbacks_;
   FaultStats stats_;
   obs::Recorder* obs_ = nullptr;
-};
-
-/// Hooks a FaultTimeline into the engine's event loop: every plan event
-/// (and burst expiry) gets an engine event that advances the timeline.
-class FaultInjector {
- public:
-  FaultInjector(const FaultPlan* plan, engine::Engine* engine,
-                std::size_t num_links, obs::Recorder* recorder = nullptr);
-
-  /// Schedules the engine events. Call once, before seeding the rest of
-  /// the simulation, so same-time faults fire first.
-  void Arm(FaultCallbacks callbacks);
-
-  FaultTimeline& timeline() { return timeline_; }
-  const FaultTimeline& timeline() const { return timeline_; }
-
- private:
-  engine::Engine* engine_;
-  FaultTimeline timeline_;
-  bool armed_ = false;
 };
 
 }  // namespace rcbr::sim::fault

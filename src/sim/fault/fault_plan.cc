@@ -10,30 +10,40 @@ namespace rcbr::sim::fault {
 namespace {
 
 void ValidateEvent(const FaultEvent& event) {
-  Require(!std::isnan(event.time_s) && event.time_s >= 0,
-          "FaultPlan: event time must be >= 0");
-  Require(!std::isnan(event.duration_s) && event.duration_s >= 0,
-          "FaultPlan: negative burst duration");
+  // Times and durations must be finite: each one becomes an engine event
+  // time, and the event queue admits only finite times.
+  Require(std::isfinite(event.time_s) && event.time_s >= 0,
+          "FaultPlan: event time must be finite and >= 0");
+  Require(std::isfinite(event.duration_s) && event.duration_s >= 0,
+          "FaultPlan: burst duration must be finite and >= 0");
   Require(!std::isnan(event.loss_probability) &&
               event.loss_probability >= 0 && event.loss_probability <= 1,
           "FaultPlan: burst loss probability must be in [0,1]");
-  Require(!std::isnan(event.extra_delay_s) && event.extra_delay_s >= 0,
-          "FaultPlan: negative burst delay");
+  Require(std::isfinite(event.extra_delay_s) && event.extra_delay_s >= 0,
+          "FaultPlan: burst delay must be finite and >= 0");
 }
 
 void ValidateOptions(const FaultPlanOptions& options) {
-  Require(options.horizon_s >= 0, "FaultPlan: negative horizon");
+  // An infinite horizon would never end the Poisson draw loops below.
+  Require(std::isfinite(options.horizon_s) && options.horizon_s >= 0,
+          "FaultPlan: horizon must be finite and >= 0");
   Require(options.num_links > 0, "FaultPlan: need at least one link");
   Require(options.burst_rate_per_s >= 0 &&
               options.link_failure_rate_per_s >= 0 &&
               options.crash_rate_per_s >= 0,
           "FaultPlan: negative fault rate");
-  Require(options.burst_duration_s >= 0, "FaultPlan: negative duration");
+  Require(std::isfinite(options.burst_duration_s) &&
+              options.burst_duration_s >= 0,
+          "FaultPlan: burst duration must be finite and >= 0");
   Require(options.burst_loss_probability >= 0 &&
               options.burst_loss_probability <= 1,
           "FaultPlan: burst loss probability must be in [0,1]");
-  Require(options.burst_extra_delay_s >= 0, "FaultPlan: negative delay");
-  Require(options.link_downtime_s >= 0, "FaultPlan: negative downtime");
+  Require(std::isfinite(options.burst_extra_delay_s) &&
+              options.burst_extra_delay_s >= 0,
+          "FaultPlan: burst delay must be finite and >= 0");
+  Require(std::isfinite(options.link_downtime_s) &&
+              options.link_downtime_s >= 0,
+          "FaultPlan: link downtime must be finite and >= 0");
 }
 
 }  // namespace

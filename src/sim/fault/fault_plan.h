@@ -9,8 +9,8 @@
 // thread count: faults are inputs to the determinism contract
 // (docs/algorithms.md §7), not perturbations of it.
 //
-// The plan is pure data. FaultTimeline/FaultInjector (fault_injector.h)
-// interpret it against a running simulation.
+// The plan is pure data. FaultTimeline (fault_injector.h) interprets it
+// against a running simulation.
 #pragma once
 
 #include <cstddef>

@@ -46,17 +46,24 @@ TEST(ChannelOptions, EffectiveLossClampsAndDelayReadsConditions) {
   EXPECT_DOUBLE_EQ(EffectiveLossProbability(options), 1.0);
 }
 
+// ---------------------------------------------------------------------
+// The single-port case of Sec. III-B: LossyPathRenegotiator over a
+// one-hop SignalingPath. One loss draw per delta cell and no rollback
+// draws on a denial (there are no upstream grants to undo).
+// ---------------------------------------------------------------------
+
 TEST(ChannelConditionsLive, MutatingConditionsSwitchesLossMidRun) {
-  // The fault injector mutates a shared ChannelConditions as its timeline
-  // advances; the channel must sample it per cell, so cells sent during
-  // the outage window are lost and cells outside it are not.
+  // The fault timeline mutates a shared ChannelConditions as it advances;
+  // the channel must sample it per cell, so cells sent during the outage
+  // window are lost and cells outside it are not.
   PortController port(1e9);
   ASSERT_TRUE(port.AdmitConnection(1, 1e5));
+  SignalingPath path({&port}, 0.0);
   Rng rng(41);
   ChannelConditions conditions;  // starts clean
   LossyChannelOptions options;
   options.conditions = &conditions;
-  LossyRenegotiator source(&port, 1, 1e5, options, &rng);
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
   Rng workload(43);
   for (int i = 0; i < 100; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
@@ -74,35 +81,37 @@ TEST(ChannelConditionsLive, MutatingConditionsSwitchesLossMidRun) {
   }
   EXPECT_EQ(source.stats().cells_lost, lost_during_burst);
   source.Resync(250.0);
-  EXPECT_NEAR(source.DriftBps(), 0.0, 1e-6);
+  EXPECT_NEAR(source.DriftBps(0), 0.0, 1e-6);
 }
 
 TEST(LossyRenegotiator, Validation) {
   PortController port(1e6);
+  SignalingPath path({&port}, 0.0);
   Rng rng(1);
   LossyChannelOptions options;
-  EXPECT_THROW(LossyRenegotiator(nullptr, 1, 0.0, options, &rng),
+  EXPECT_THROW(LossyPathRenegotiator(nullptr, 1, 0.0, options, &rng),
                InvalidArgument);
-  EXPECT_THROW(LossyRenegotiator(&port, 1, 0.0, options, nullptr),
+  EXPECT_THROW(LossyPathRenegotiator(&path, 1, 0.0, options, nullptr),
                InvalidArgument);
   options.cell_loss_probability = 1.0;
-  EXPECT_THROW(LossyRenegotiator(&port, 1, 0.0, options, &rng),
+  EXPECT_THROW(LossyPathRenegotiator(&path, 1, 0.0, options, &rng),
                InvalidArgument);
   options = {};
   options.resync_every_cells = -1;
-  EXPECT_THROW(LossyRenegotiator(&port, 1, 0.0, options, &rng),
+  EXPECT_THROW(LossyPathRenegotiator(&path, 1, 0.0, options, &rng),
                InvalidArgument);
 }
 
 TEST(LossyRenegotiator, LosslessChannelNeverDrifts) {
   PortController port(1e6);
   ASSERT_TRUE(port.AdmitConnection(1, 1e5));
+  SignalingPath path({&port}, 0.0);
   Rng rng(2);
-  LossyRenegotiator source(&port, 1, 1e5, {}, &rng);
+  LossyPathRenegotiator source(&path, 1, 1e5, {}, &rng);
   Rng workload(3);
   for (int i = 0; i < 500; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
-    ASSERT_NEAR(source.DriftBps(), 0.0, 1e-6) << "step " << i;
+    ASSERT_NEAR(source.DriftBps(0), 0.0, 1e-6) << "step " << i;
   }
   EXPECT_EQ(source.stats().cells_lost, 0);
 }
@@ -110,15 +119,16 @@ TEST(LossyRenegotiator, LosslessChannelNeverDrifts) {
 TEST(LossyRenegotiator, CellLossCausesDrift) {
   PortController port(1e9);
   ASSERT_TRUE(port.AdmitConnection(1, 1e5));
+  SignalingPath path({&port}, 0.0);
   Rng rng(5);
   LossyChannelOptions options;
   options.cell_loss_probability = 0.2;
-  LossyRenegotiator source(&port, 1, 1e5, options, &rng);
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
   Rng workload(7);
   double max_drift = 0;
   for (int i = 0; i < 2000; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
-    max_drift = std::max(max_drift, std::abs(source.DriftBps()));
+    max_drift = std::max(max_drift, std::abs(source.DriftBps(0)));
   }
   EXPECT_GT(source.stats().cells_lost, 200);
   EXPECT_GT(max_drift, 1e4) << "lost delta cells must desynchronize state";
@@ -127,31 +137,33 @@ TEST(LossyRenegotiator, CellLossCausesDrift) {
 TEST(LossyRenegotiator, ResyncBoundsDrift) {
   PortController port(1e9);
   ASSERT_TRUE(port.AdmitConnection(1, 1e5));
+  SignalingPath path({&port}, 0.0);
   Rng rng(9);
   LossyChannelOptions options;
   options.cell_loss_probability = 0.2;
   options.resync_every_cells = 10;
-  LossyRenegotiator source(&port, 1, 1e5, options, &rng);
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
   Rng workload(11);
   for (int i = 0; i < 2000; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
     // Immediately after each resync the drift is exactly zero; in between
     // at most 10 cells (with rates < 5e5) can desynchronize.
-    ASSERT_LT(std::abs(source.DriftBps()), 10 * 5e5) << "step " << i;
+    ASSERT_LT(std::abs(source.DriftBps(0)), 10 * 5e5) << "step " << i;
   }
   EXPECT_GT(source.stats().resyncs_sent, 150);
   // Force one more resync and verify exact repair.
   source.Resync(0.0);
-  EXPECT_NEAR(source.DriftBps(), 0.0, 1e-6);
+  EXPECT_NEAR(source.DriftBps(0), 0.0, 1e-6);
 }
 
 TEST(LossyRenegotiator, ResyncRepairsAggregateUtilization) {
   PortController port(1e9);
   ASSERT_TRUE(port.AdmitConnection(1, 1e5));
+  SignalingPath path({&port}, 0.0);
   Rng rng(13);
   LossyChannelOptions options;
   options.cell_loss_probability = 0.5;
-  LossyRenegotiator source(&port, 1, 1e5, options, &rng);
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
   Rng workload(15);
   for (int i = 0; i < 200; ++i) {
     source.Renegotiate(workload.Uniform(5e4, 5e5), static_cast<double>(i));
@@ -163,11 +175,42 @@ TEST(LossyRenegotiator, ResyncRepairsAggregateUtilization) {
 TEST(LossyRenegotiator, DeniedRequestKeepsBelief) {
   PortController port(2e5);
   ASSERT_TRUE(port.AdmitConnection(1, 1e5));
+  SignalingPath path({&port}, 0.0);
   Rng rng(17);
-  LossyRenegotiator source(&port, 1, 1e5, {}, &rng);
+  LossyPathRenegotiator source(&path, 1, 1e5, {}, &rng);
   EXPECT_FALSE(source.Renegotiate(5e5, 0.0));  // exceeds the port
   EXPECT_DOUBLE_EQ(source.believed_rate_bps(), 1e5);
-  EXPECT_NEAR(source.DriftBps(), 0.0, 1e-6);
+  EXPECT_NEAR(source.DriftBps(0), 0.0, 1e-6);
+}
+
+TEST(LossyRenegotiator, OneHopPathReproducesSinglePortPins) {
+  // A fixed seeded run with losses, denials and periodic resyncs, stopped
+  // between two resyncs so the drift is non-zero. The pinned values are
+  // the single-port channel's (one loss draw per cell, no rollback draw
+  // on a denial, the same resync cell), which the one-hop path must
+  // reproduce draw for draw and bit for bit.
+  PortController port(1e6);
+  ASSERT_TRUE(port.AdmitConnection(1, 1e5));
+  SignalingPath path({&port}, 0.0);
+  Rng rng(47);
+  LossyChannelOptions options;
+  options.cell_loss_probability = 0.2;
+  options.resync_every_cells = 16;
+  LossyPathRenegotiator source(&path, 1, 1e5, options, &rng);
+  Rng workload(53);
+  int denied = 0;
+  for (int i = 0; i < 210; ++i) {
+    if (!source.Renegotiate(workload.Uniform(5e4, 5e5),
+                            static_cast<double>(i))) {
+      ++denied;
+    }
+  }
+  EXPECT_EQ(source.stats().cells_sent, 210);
+  EXPECT_EQ(source.stats().cells_lost, 48);
+  EXPECT_EQ(source.stats().resyncs_sent, 13);
+  EXPECT_EQ(denied, 9);
+  EXPECT_EQ(source.DriftBps(0), -0x1.1893f23b0fdb8p+17);
+  EXPECT_EQ(source.believed_rate_bps(), 0x1.632d0003caee7p+18);
 }
 
 class LossyPathTest : public ::testing::Test {

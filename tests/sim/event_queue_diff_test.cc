@@ -1,9 +1,9 @@
-// Differential tests pinning the calendar queue to the legacy binary
-// heap: both EventQueue backends must produce the identical (time, seq)
-// pop sequence for any schedule. The heap is the executable spec — it is
-// a std::push_heap/pop_heap over the same comparator the pre-calendar
-// simulator used — so agreement here is what licenses the calendar queue
-// to sit under every seeded regression pin.
+// Differential tests pinning the calendar queue to a reference binary
+// heap: both must produce the identical (time, seq) pop sequence for any
+// schedule. The heap is the executable spec — a std::push_heap/pop_heap
+// over the ordering contract's comparator (reference_event_heap.h) — so
+// agreement here is what licenses the calendar queue to sit under every
+// seeded regression pin.
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -11,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_event_heap.h"
 #include "sim/engine/event_queue.h"
 #include "util/rng.h"
 
 namespace rcbr::sim::engine {
 namespace {
+
+using reference::ReferenceEventHeap;
 
 struct PoppedRecord {
   double time;
@@ -33,12 +36,13 @@ struct ScheduleStep {
   std::uint64_t tag = 0;
 };
 
-// Runs the same interleaved post/pop schedule on one backend and returns
-// everything popped (including the final drain).
-std::vector<PoppedRecord> Replay(EventQueue::Impl impl,
-                                 const std::vector<ScheduleStep>& steps,
+// Runs the same interleaved post/pop schedule on one queue (the calendar
+// EventQueue or the reference heap) and returns everything popped
+// (including the final drain).
+template <typename Queue>
+std::vector<PoppedRecord> Replay(const std::vector<ScheduleStep>& steps,
                                  bool reserve_hint = false) {
-  EventQueue queue(impl);
+  Queue queue;
   if (reserve_hint) queue.Reserve(steps.size());
   std::vector<PoppedRecord> popped;
   popped.reserve(steps.size());
@@ -63,10 +67,10 @@ std::vector<PoppedRecord> Replay(EventQueue::Impl impl,
   return popped;
 }
 
-void ExpectBackendsAgree(const std::vector<ScheduleStep>& steps,
-                         const std::string& label) {
-  const auto calendar = Replay(EventQueue::Impl::kCalendar, steps);
-  const auto heap = Replay(EventQueue::Impl::kBinaryHeap, steps);
+void ExpectMatchesReference(const std::vector<ScheduleStep>& steps,
+                            const std::string& label) {
+  const auto calendar = Replay<EventQueue>(steps);
+  const auto heap = Replay<ReferenceEventHeap>(steps);
   ASSERT_EQ(calendar.size(), heap.size()) << label;
   for (std::size_t i = 0; i < calendar.size(); ++i) {
     ASSERT_EQ(calendar[i], heap[i]) << label << ": pop " << i;
@@ -97,13 +101,13 @@ TEST(EventQueueDifferential, RandomizedHoldModelSchedules) {
       steps.push_back({pops, when, static_cast<std::uint64_t>(i)});
       now += rng.Uniform(0.0, 0.05);
     }
-    ExpectBackendsAgree(steps, "seed " + std::to_string(seed));
+    ExpectMatchesReference(steps, "seed " + std::to_string(seed));
   }
 }
 
 TEST(EventQueueDifferential, SameTimeBurstsFireInScheduleOrder) {
   // Large bursts at identical instants: the (time, seq) tie-break is the
-  // whole story, and both backends must resolve it the same way.
+  // whole story, and the calendar queue must resolve it like the heap.
   std::vector<ScheduleStep> steps;
   std::uint64_t tag = 0;
   for (double t : {1.0, 1.0, 5.0, 2.5, 2.5, 2.5}) {
@@ -111,11 +115,11 @@ TEST(EventQueueDifferential, SameTimeBurstsFireInScheduleOrder) {
   }
   steps.push_back({300, 0.75, tag++});  // drain some, then more ties
   for (int i = 0; i < 100; ++i) steps.push_back({0, 2.5, tag++});
-  ExpectBackendsAgree(steps, "same-time bursts");
+  ExpectMatchesReference(steps, "same-time bursts");
 
   // Verify explicitly (not just differentially) that a same-time burst
-  // pops in schedule order on the calendar backend.
-  EventQueue queue(EventQueue::Impl::kCalendar);
+  // pops in schedule order on the calendar queue.
+  EventQueue queue;
   for (std::uint64_t i = 0; i < 500; ++i) {
     EventPayload payload;
     payload.kind = 1;
@@ -127,28 +131,31 @@ TEST(EventQueueDifferential, SameTimeBurstsFireInScheduleOrder) {
   }
 }
 
-TEST(EventQueueDifferential, SequenceCounterCeiling) {
-  // Same-time ordering must hold right up to the last representable
-  // sequence numbers (the counter itself cannot wrap mid-run: At/Post
-  // would need ~1.8e19 schedules).
+// Same-time ordering must hold right up to the last representable
+// sequence numbers (the counter itself cannot wrap mid-run: Post would
+// need ~1.8e19 schedules).
+template <typename Queue>
+void ExpectOrderAtSequenceCeiling() {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  for (auto impl :
-       {EventQueue::Impl::kCalendar, EventQueue::Impl::kBinaryHeap}) {
-    EventQueue queue(impl);
-    queue.ResetSequenceForTest(kMax - 4);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      EventPayload payload;
-      payload.kind = 1;
-      payload.a = i;
-      queue.Post(1.0, payload);
-    }
-    EXPECT_EQ(queue.next_sequence(), kMax);
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      const ScheduledEvent event = queue.Pop();
-      EXPECT_EQ(event.payload.a, i);
-      EXPECT_EQ(event.seq, kMax - 4 + i);
-    }
+  Queue queue;
+  queue.ResetSequenceForTest(kMax - 4);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    EventPayload payload;
+    payload.kind = 1;
+    payload.a = i;
+    queue.Post(1.0, payload);
   }
+  EXPECT_EQ(queue.next_sequence(), kMax);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const ScheduledEvent event = queue.Pop();
+    EXPECT_EQ(event.payload.a, i);
+    EXPECT_EQ(event.seq, kMax - 4 + i);
+  }
+}
+
+TEST(EventQueueDifferential, SequenceCounterCeiling) {
+  ExpectOrderAtSequenceCeiling<EventQueue>();
+  ExpectOrderAtSequenceCeiling<ReferenceEventHeap>();
 }
 
 TEST(EventQueueDifferential, ReserveIsOrderNeutral) {
@@ -160,38 +167,10 @@ TEST(EventQueueDifferential, ReserveIsOrderNeutral) {
                      static_cast<std::uint64_t>(i)});
     now += 0.01;
   }
-  for (auto impl :
-       {EventQueue::Impl::kCalendar, EventQueue::Impl::kBinaryHeap}) {
-    const auto bare = Replay(impl, steps, /*reserve_hint=*/false);
-    const auto reserved = Replay(impl, steps, /*reserve_hint=*/true);
-    EXPECT_EQ(bare, reserved);
-  }
-}
-
-TEST(EventQueueDifferential, HandlerAndPayloadEventsInterleave) {
-  // The legacy At() closures ride the same (time, seq) order as POD
-  // payloads, on both backends.
-  for (auto impl :
-       {EventQueue::Impl::kCalendar, EventQueue::Impl::kBinaryHeap}) {
-    EventQueue queue(impl);
-    std::vector<int> fired;
-    queue.At(2.0, [&] { fired.push_back(0); });
-    EventPayload payload;
-    payload.kind = 1;
-    payload.a = 1;
-    queue.Post(2.0, payload);
-    queue.At(1.0, [&] { fired.push_back(2); });
-    queue.At(2.0, [&] { fired.push_back(3); });
-    while (!queue.empty()) {
-      const ScheduledEvent event = queue.Pop();
-      if (event.payload.kind == kHandlerEvent) {
-        queue.TakeHandler(event.payload)();
-      } else {
-        fired.push_back(static_cast<int>(event.payload.a));
-      }
-    }
-    EXPECT_EQ(fired, (std::vector<int>{2, 0, 1, 3}));
-  }
+  EXPECT_EQ(Replay<EventQueue>(steps, /*reserve_hint=*/false),
+            Replay<EventQueue>(steps, /*reserve_hint=*/true));
+  EXPECT_EQ(Replay<ReferenceEventHeap>(steps, /*reserve_hint=*/false),
+            Replay<ReferenceEventHeap>(steps, /*reserve_hint=*/true));
 }
 
 TEST(EventQueueDifferential, BackwardInTimePostsStillOrder) {
@@ -205,7 +184,7 @@ TEST(EventQueueDifferential, BackwardInTimePostsStillOrder) {
   steps.push_back({0, 1.0, tag++});    // ...then post below it
   steps.push_back({0, 2.0, tag++});
   steps.push_back({2, 0.5, tag++});
-  ExpectBackendsAgree(steps, "backward posts");
+  ExpectMatchesReference(steps, "backward posts");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include "sim/fault/fault_plan.h"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -85,6 +86,22 @@ TEST(FaultPlan, Validation) {
   options = BusyOptions();
   options.link_failure_rate_per_s = -1;
   EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
+  // Every time or duration becomes an engine event time, and the event
+  // queue admits only finite times; an infinite horizon would also never
+  // end the Poisson draws.
+  const double inf = std::numeric_limits<double>::infinity();
+  options = BusyOptions();
+  options.horizon_s = inf;
+  EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
+  options = BusyOptions();
+  options.burst_duration_s = inf;
+  EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
+  options = BusyOptions();
+  options.burst_extra_delay_s = inf;
+  EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
+  options = BusyOptions();
+  options.link_downtime_s = inf;
+  EXPECT_THROW(FaultPlan::Generate(options, rng), InvalidArgument);
 
   FaultPlan plan;
   EXPECT_THROW(plan.Add({-1.0, FaultKind::kLinkDown, 0, 0, 0, 0}),
@@ -93,6 +110,12 @@ TEST(FaultPlan, Validation) {
       plan.Add({1.0, FaultKind::kRmLossBurst, 0, 2.0,
                 std::nan(""), 0}),
       InvalidArgument);
+  EXPECT_THROW(plan.Add({inf, FaultKind::kLinkDown, 0, 0, 0, 0}),
+               InvalidArgument);
+  EXPECT_THROW(plan.Add({1.0, FaultKind::kRmLossBurst, 0, inf, 1.0, 0}),
+               InvalidArgument);
+  EXPECT_THROW(plan.Add({1.0, FaultKind::kRmLossBurst, 0, 2.0, 1.0, inf}),
+               InvalidArgument);
   EXPECT_TRUE(plan.empty());
   plan.Add({5.0, FaultKind::kLinkDown, 2, 0, 0, 0});
   plan.Add({1.0, FaultKind::kControllerCrash, 1, 0, 0, 0});

@@ -31,7 +31,6 @@ class TokenBucket {
   /// what overflowed the source buffer.
   SlotOutcome Offer(double arrival_bits);
 
-  double tokens_bits() const { return tokens_; }
   double queue_bits() const { return queue_; }
   double max_queue_bits() const { return max_queue_; }
   double total_sent_bits() const { return sent_; }

@@ -216,12 +216,13 @@ Client::TxStatus Client::Transaction(Frame request, FrameType expect,
                 rung_, std::string(FrameTypeName(request.type)) +
                            " attempt=" + std::to_string(attempt + 1));
     ChargeSlots(SlotsFor(options_.retry.timeout_s));
-    if (attempt >= options_.retry.max_retries) return TxStatus::kTimedOut;
 
-    // Rescind before retransmitting, exactly like the in-process
-    // renegotiator: an absolute resync at the acknowledged rate and rung
-    // erases whatever the lost attempt may have half-applied. Only then
-    // is a retransmit safe against double-application.
+    // Rescind after every timeout, the last one included, exactly like
+    // the in-process renegotiator: an absolute resync at the acknowledged
+    // rate and rung erases whatever the lost attempt may have
+    // half-applied. Only then is a retransmit safe against
+    // double-application, and only then may the session give up with
+    // the server holding the acknowledged rate.
     if (request.type != FrameType::kResync) {
       Frame rescind;
       rescind.type = FrameType::kResync;
@@ -239,6 +240,7 @@ Client::TxStatus Client::Transaction(Frame request, FrameType expect,
       ++stats_.resyncs;
       obs::Count(options_.recorder, "net.client.resyncs");
     }
+    if (attempt >= options_.retry.max_retries) return TxStatus::kTimedOut;
     ChargeSlots(SlotsFor(
         signaling::BackoffSeconds(options_.retry, attempt, &backoff_rng_)));
   }

@@ -1,7 +1,7 @@
 // rcbrd — the RCBR admission daemon on loopback TCP.
 //
-//   rcbrd [--port N] [--capacity-bps X] [--tolerance-bps X]
-//         [--client-deadline-ms N] [--drain-at-slot N]
+//   rcbrd [--port N] [--capacity-bps X] [--client-deadline-ms N]
+//         [--drain-at-slot N]
 //
 // Runs PortController admission behind the length-prefixed frame
 // protocol (src/net/wire.h). SIGTERM or SIGINT starts a graceful drain:
@@ -47,9 +47,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (std::strcmp(arg, "--capacity-bps") == 0 && value != nullptr) {
       options.capacity_bps = ParseDouble(value);
-      ++i;
-    } else if (std::strcmp(arg, "--tolerance-bps") == 0 && value != nullptr) {
-      options.admission_tolerance_bps = ParseDouble(value);
       ++i;
     } else if (std::strcmp(arg, "--client-deadline-ms") == 0 &&
                value != nullptr) {

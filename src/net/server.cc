@@ -51,7 +51,7 @@ struct Server::Connection {
 Server::Server(const ServerOptions& options)
     : options_(options),
       port_controller_(options.capacity_bps, /*track_connections=*/true,
-                       options.recorder, options.admission_tolerance_bps) {}
+                       options.recorder) {}
 
 Server::~Server() = default;
 
@@ -204,6 +204,17 @@ bool Server::HandleFrame(Connection& conn, const Frame& frame) {
   if (frame.type == FrameType::kHello) return HandleHello(conn, frame);
   if (!conn.admitted) {
     ProtocolError(conn, WireError::kNotAdmitted);
+    return false;
+  }
+
+  // A session may only give back what it holds: a delta below its
+  // granted rate, or a negative resync, would free capacity other
+  // sessions hold. An in-sync client never sends one (g + fl(w - g) >= 0
+  // exactly for every w >= 0).
+  if ((frame.type == FrameType::kDelta &&
+       conn.granted_bps + frame.delta_bps < 0) ||
+      (frame.type == FrameType::kResync && frame.rate_bps < 0)) {
+    ProtocolError(conn, WireError::kNegativeRate);
     return false;
   }
 

@@ -45,8 +45,6 @@ struct ServerOptions {
   std::uint16_t port = 0;
   /// Port capacity handed to the admission controller.
   double capacity_bps = 10e6;
-  /// Admission slack (see PortController).
-  double admission_tolerance_bps = 1e-9;
   /// Poll-loop tick; bounds how fast control flags are observed.
   int poll_interval_ms = 10;
   /// A connection silent for this long is presumed dead and closed.

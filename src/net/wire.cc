@@ -115,6 +115,7 @@ const char* WireErrorName(WireError code) {
     case WireError::kNotAdmitted: return "not_admitted";
     case WireError::kRateViolation: return "rate_violation";
     case WireError::kServerDraining: return "server_draining";
+    case WireError::kNegativeRate: return "negative_rate";
   }
   return "unknown";
 }

@@ -71,6 +71,7 @@ enum class WireError : std::uint32_t {
   kNotAdmitted = 8,      // data/delta before a successful Hello
   kRateViolation = 9,    // metering found sustained over-grant sending
   kServerDraining = 10,  // increase refused while draining
+  kNegativeRate = 11,    // delta or resync would leave the session below 0
 };
 
 const char* WireErrorName(WireError code);

@@ -8,18 +8,10 @@
 namespace rcbr::signaling {
 
 PortController::PortController(double capacity_bps, bool track_connections,
-                               obs::Recorder* recorder,
-                               double admission_tolerance_bps)
-    : capacity_(capacity_bps),
-      tracking_(track_connections),
-      tolerance_(admission_tolerance_bps),
-      obs_(recorder) {
+                               obs::Recorder* recorder)
+    : capacity_(capacity_bps), tracking_(track_connections), obs_(recorder) {
   Require(!std::isnan(capacity_bps), "PortController: capacity is NaN");
   Require(capacity_bps > 0, "PortController: capacity must be positive");
-  Require(!std::isnan(admission_tolerance_bps),
-          "PortController: tolerance is NaN");
-  Require(admission_tolerance_bps >= 0,
-          "PortController: negative tolerance");
   ctr_accepted_ = obs::FindCounter(obs_, "port.delta_accepted");
   ctr_denied_ = obs::FindCounter(obs_, "port.delta_denied");
   ctr_resyncs_ = obs::FindCounter(obs_, "port.resyncs");
@@ -34,7 +26,7 @@ CellVerdict PortController::Handle(const RmCell& cell, double now_seconds) {
       const double before = used_;
       const double tracked_before = tracking_ ? TrackedRate(cell.vci) : 0.0;
       const bool waiter_before = IsUpgradeWaiter(cell.vci);
-      if (delta <= 0 || used_ + delta <= capacity_ + tolerance_) {
+      if (delta <= 0 || used_ + delta <= capacity_ + kAdmissionToleranceBps) {
         used_ = std::max(0.0, used_ + delta);
         ++stats_.delta_accepted;
         if (ctr_accepted_ != nullptr) ctr_accepted_->Add();
@@ -86,7 +78,7 @@ void PortController::CrashRestart() {
 bool PortController::AdmitConnection(std::uint64_t vci, double rate_bps,
                                      std::uint32_t rung) {
   Require(rate_bps >= 0, "PortController::AdmitConnection: negative rate");
-  if (used_ + rate_bps > capacity_ + tolerance_) return false;
+  if (used_ + rate_bps > capacity_ + kAdmissionToleranceBps) return false;
   used_ += rate_bps;
   if (tracking_) rates_.Upsert(vci) = rate_bps;
   if (rung > 0) SetWaiter(vci, true);

@@ -20,6 +20,12 @@
 
 namespace rcbr::signaling {
 
+/// Slack on every capacity check: PortController::Handle and
+/// AdmitConnection accept up to capacity + this, and the simulator's
+/// route pre-check uses the same bound. It absorbs the round-off of
+/// reservations summed in floating point.
+inline constexpr double kAdmissionToleranceBps = 1e-9;
+
 struct PortStats {
   std::int64_t delta_accepted = 0;
   std::int64_t delta_denied = 0;
@@ -33,12 +39,8 @@ class PortController {
   /// With a recorder, denied delta cells emit kRenegDeny events (time =
   /// the `now_seconds` the caller hands to Handle — one simulation-time
   /// axis across all layers; id = VCI) and "port.*" counters accumulate.
-  /// `admission_tolerance_bps` is slack added to the capacity check
-  /// (Handle and AdmitConnection accept up to capacity + tolerance); the
-  /// network simulator uses 1e-9 to absorb reservation round-off.
   explicit PortController(double capacity_bps, bool track_connections = true,
-                          obs::Recorder* recorder = nullptr,
-                          double admission_tolerance_bps = 0);
+                          obs::Recorder* recorder = nullptr);
 
   double capacity_bps() const { return capacity_; }
   double utilization_bps() const { return used_; }
@@ -47,10 +49,10 @@ class PortController {
 
   /// Processes one RM cell in O(1) (plus one hash lookup when tracking).
   /// Delta cells: a decrease always succeeds; an increase succeeds iff
-  /// utilization + delta <= capacity (+ tolerance). Resync cells correct
-  /// the aggregate utilization using the tracked per-connection rate and
-  /// never fail. `now_seconds` is the simulation time, used to stamp
-  /// trace events.
+  /// utilization + delta <= capacity + kAdmissionToleranceBps. Resync
+  /// cells correct the aggregate utilization using the tracked
+  /// per-connection rate and never fail. `now_seconds` is the simulation
+  /// time, used to stamp trace events.
   CellVerdict Handle(const RmCell& cell, double now_seconds);
 
   /// Exactly undoes a just-granted delta cell — the compensating cell of
@@ -111,7 +113,6 @@ class PortController {
   double capacity_;
   double used_ = 0;
   bool tracking_;
-  double tolerance_;
   VciTable rates_;
   /// Sorted VCIs waiting for an upgrade (empty for scalar traffic; the
   /// fast path never touches it).

@@ -13,7 +13,6 @@ constexpr std::size_t kDefaultShards = 8;
 
 PortShards::PortShards(const std::vector<double>& capacities_bps,
                        bool track_connections, obs::Recorder* recorder,
-                       double admission_tolerance_bps,
                        std::size_t shard_count) {
   const std::size_t count = capacities_bps.size();
   Require(count > 0, "PortShards: no links");
@@ -32,7 +31,7 @@ PortShards::PortShards(const std::vector<double>& capacities_bps,
     shard.ports.reserve(end - begin);
     for (std::size_t link = begin; link < end; ++link) {
       shard.ports.emplace_back(capacities_bps[link], track_connections,
-                               recorder, admission_tolerance_bps);
+                               recorder);
       locate_[link] = {static_cast<std::uint32_t>(s),
                        static_cast<std::uint32_t>(link - begin)};
     }

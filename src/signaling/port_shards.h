@@ -28,11 +28,11 @@ namespace rcbr::signaling {
 class PortShards {
  public:
   /// Builds one controller per capacity, all with the same tracking /
-  /// recorder / tolerance configuration, block-partitioned into
-  /// `shard_count` shards (0 = min(#links, 8)).
+  /// recorder configuration, block-partitioned into `shard_count` shards
+  /// (0 = min(#links, 8)).
   PortShards(const std::vector<double>& capacities_bps,
              bool track_connections, obs::Recorder* recorder,
-             double admission_tolerance_bps, std::size_t shard_count = 0);
+             std::size_t shard_count = 0);
 
   PortController& port(std::size_t link) {
     const Location& loc = locate_[link];

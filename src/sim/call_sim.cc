@@ -34,7 +34,6 @@ CallSimResult RunCallSim(const std::vector<CallProfile>& profile_pool,
   sim.policy = &policy;
   sim.recorder = options.recorder;
   sim.metric_prefix = "callsim";
-  sim.trace_style = engine::SimulationOptions::TraceStyle::kSingleLink;
   sim.expected_peak_calls = options.expected_peak_calls;
 
   const engine::SimulationResult r =

@@ -21,8 +21,6 @@ namespace rcbr::sim::engine {
 
 namespace {
 
-using TraceStyle = SimulationOptions::TraceStyle;
-
 // Payload kinds for the engine's POD event records. Arrivals carry the
 // class index in `a`; transitions and departures carry the call's store
 // handle in `a` (+ its generation in `gen`, the stale-event filter) and,
@@ -46,8 +44,7 @@ class Simulation {
     Validate();
     const std::size_t num_links = options_.link_capacities_bps.size();
     ports_.emplace(options_.link_capacities_bps, options_.track_connections,
-                   options_.signaling_recorder,
-                   options_.admission_tolerance_bps);
+                   options_.signaling_recorder);
     path_index_.resize(options_.classes.size());
     for (std::size_t c = 0; c < options_.classes.size(); ++c) {
       for (const auto& route : options_.classes[c].candidate_routes) {
@@ -219,8 +216,6 @@ class Simulation {
     Require(!options_.classes.empty(), "engine: no traffic classes");
     Require(options_.interval_seconds > 0 && options_.sample_intervals > 0,
             "engine: need measurement intervals");
-    Require(options_.admission_tolerance_bps >= 0,
-            "engine: negative admission tolerance");
     const std::size_t num_links = options_.link_capacities_bps.size();
     for (double c : options_.link_capacities_bps) {
       Require(c > 0, "engine: link capacity must be positive");
@@ -302,7 +297,7 @@ class Simulation {
       if (!LinkUp(link)) return false;
       if (ports_->port(link).utilization_bps() + extra_bps >
           options_.link_capacities_bps[link] +
-              options_.admission_tolerance_bps) {
+              signaling::kAdmissionToleranceBps) {
         return false;
       }
     }
@@ -465,16 +460,10 @@ class Simulation {
     if (!admitted) {
       ++totals.blocked_calls;
       if (ctr_blocked_ != nullptr) ctr_blocked_->Add();
-      if (options_.trace_style == TraceStyle::kSingleLink) {
-        obs::Emit(options_.recorder, now, obs::EventKind::kAdmitReject,
-                  next_call_id_, {"rate_bps", initial_rate},
-                  {"reserved_bps", ports_->port(0).utilization_bps()},
-                  {"by_capacity", physically_fits ? 0.0 : 1.0});
-      } else {
-        obs::Emit(options_.recorder, now, obs::EventKind::kAdmitReject,
-                  next_call_id_, {"class", static_cast<double>(c)},
-                  {"rate_bps", initial_rate});
-      }
+      obs::Emit(options_.recorder, now, obs::EventKind::kAdmitReject,
+                next_call_id_, {"class", static_cast<double>(c)},
+                {"rate_bps", initial_rate},
+                {"by_capacity", physically_fits ? 0.0 : 1.0});
       return;
     }
 
@@ -502,18 +491,10 @@ class Simulation {
       if (ctr_downgraded_ != nullptr) ctr_downgraded_->Add();
     }
     if (ladders_on_) utility_rate_[c] += ClassUtility(c, granted_rung);
-    if (options_.trace_style == TraceStyle::kSingleLink) {
-      obs::Emit(options_.recorder, now, obs::EventKind::kAdmitAccept, id,
-                {"rate_bps", granted_rate},
-                {"reserved_bps", ports_->port(0).utilization_bps()},
-                {"rung", static_cast<double>(granted_rung)});
-    } else {
-      obs::Emit(options_.recorder, now, obs::EventKind::kAdmitAccept, id,
-                {"class", static_cast<double>(c)},
-                {"rate_bps", granted_rate},
-                {"hops", static_cast<double>(chosen->size())},
-                {"rung", static_cast<double>(granted_rung)});
-    }
+    obs::Emit(options_.recorder, now, obs::EventKind::kAdmitAccept, id,
+              {"class", static_cast<double>(c)}, {"rate_bps", granted_rate},
+              {"hops", static_cast<double>(chosen->size())},
+              {"rung", static_cast<double>(granted_rung)});
     SampleLiveCalls(now);
     SampleRoute(*chosen, now);
     ScheduleTransition(ref, 1);
@@ -619,15 +600,9 @@ class Simulation {
         if (options_.policy != nullptr) {
           options_.policy->OnRateChange(now, id, old_rate, new_rate);
         }
-        if (options_.trace_style == TraceStyle::kSingleLink) {
-          obs::Emit(options_.recorder, now, obs::EventKind::kRenegGrant, id,
-                    {"old_bps", old_rate}, {"new_bps", new_rate},
-                    {"reserved_bps", ports_->port(0).utilization_bps()});
-        } else {
-          obs::Emit(options_.recorder, now, obs::EventKind::kRenegGrant, id,
-                    {"class", static_cast<double>(store_.class_index(h))},
-                    {"old_bps", old_rate}, {"new_bps", new_rate});
-        }
+        obs::Emit(options_.recorder, now, obs::EventKind::kRenegGrant, id,
+                  {"class", static_cast<double>(store_.class_index(h))},
+                  {"old_bps", old_rate}, {"new_bps", new_rate});
         if (ts_renegs_ != nullptr) ts_renegs_->Sample(now, 1.0);
         SampleRoute(*store_.route(h), now);
       } else {
@@ -637,15 +612,9 @@ class Simulation {
           ++totals.interval_failures[static_cast<std::size_t>(idx)];
         }
         // Full-grant-or-nothing: the call keeps its old reservation.
-        if (options_.trace_style == TraceStyle::kSingleLink) {
-          obs::Emit(options_.recorder, now, obs::EventKind::kRenegDeny, id,
-                    {"old_bps", old_rate}, {"new_bps", new_rate},
-                    {"reserved_bps", ports_->port(0).utilization_bps()});
-        } else {
-          obs::Emit(options_.recorder, now, obs::EventKind::kRenegDeny, id,
-                    {"class", static_cast<double>(store_.class_index(h))},
-                    {"old_bps", old_rate}, {"new_bps", new_rate});
-        }
+        obs::Emit(options_.recorder, now, obs::EventKind::kRenegDeny, id,
+                  {"class", static_cast<double>(store_.class_index(h))},
+                  {"old_bps", old_rate}, {"new_bps", new_rate});
         if (ts_denies_ != nullptr) ts_denies_->Sample(now, 1.0);
       }
     }
@@ -855,15 +824,9 @@ class Simulation {
     if (options_.policy != nullptr) {
       options_.policy->OnDeparture(now, id, rate);
     }
-    if (options_.trace_style == TraceStyle::kSingleLink) {
-      obs::Emit(options_.recorder, now, obs::EventKind::kCallDeparture, id,
-                {"rate_bps", rate},
-                {"reserved_bps", ports_->port(0).utilization_bps()});
-    } else {
-      obs::Emit(options_.recorder, now, obs::EventKind::kCallDeparture, id,
-                {"class", static_cast<double>(store_.class_index(h))},
-                {"rate_bps", rate});
-    }
+    obs::Emit(options_.recorder, now, obs::EventKind::kCallDeparture, id,
+              {"class", static_cast<double>(store_.class_index(h))},
+              {"rate_bps", rate});
     if (span_hold_ != nullptr) {
       span_hold_->Record(now - store_.start_time(h));
     }

@@ -60,9 +60,6 @@ struct SimulationOptions {
   /// Pick the feasible candidate route with the smallest bottleneck
   /// utilization; otherwise first-fit.
   bool least_loaded_routing = false;
-  /// Slack on every port's capacity check (the network driver uses 1e-9,
-  /// the call-level driver 0 — both pinned).
-  double admission_tolerance_bps = 0;
   /// Consulted after route selection with the bottleneck link's view
   /// (nullptr = capacity-only admission).
   AdmissionPolicy* policy = nullptr;
@@ -85,11 +82,6 @@ struct SimulationOptions {
   double cell_loss_probability = 0;
   /// Absolute-rate resync after this many delta cells (0 = never).
   std::int64_t resync_every_cells = 0;
-  /// Trace-event payload schema. kSingleLink reproduces the call-level
-  /// driver's fields (reserved_bps, by_capacity), kNetwork the network
-  /// driver's (class, hops).
-  enum class TraceStyle { kSingleLink, kNetwork };
-  TraceStyle trace_style = TraceStyle::kNetwork;
   /// Deterministic fault schedule injected into the event loop (null or
   /// empty = byte-identical to the fault-free simulation). Loss bursts
   /// impair the lossy renegotiation channel; link failures block

@@ -125,14 +125,4 @@ void FaultTimeline::AdvanceTo(double now) {
   }
 }
 
-double FaultTimeline::NextEventTime() const {
-  double next = std::numeric_limits<double>::infinity();
-  const std::vector<FaultEvent>& events = plan_->events();
-  if (cursor_ < events.size()) next = events[cursor_].time_s;
-  for (const ActiveBurst& burst : active_bursts_) {
-    next = std::min(next, burst.end_s);
-  }
-  return next;
-}
-
 }  // namespace rcbr::sim::fault

@@ -70,9 +70,6 @@ class FaultTimeline {
   bool link_up(std::size_t link) const { return link_up_[link]; }
   std::size_t num_links() const { return link_up_.size(); }
 
-  /// Earliest unapplied event or burst-end time (+infinity when drained).
-  double NextEventTime() const;
-
   const FaultStats& stats() const { return stats_; }
 
  private:

@@ -55,7 +55,6 @@ class WallClockSchedule {
   std::int64_t end_tick() const { return end_tick_; }
 
   std::size_t burst_count() const { return bursts_.size(); }
-  std::size_t down_window_count() const { return downs_.size(); }
   std::size_t crash_count() const { return crashes_.size(); }
 
  private:

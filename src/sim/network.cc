@@ -46,13 +46,9 @@ NetworkSimResult RunNetworkSim(const std::vector<CallProfile>& profiles,
   sim.sample_intervals = options.sample_intervals;
   sim.interval_seconds = options.interval_seconds;
   sim.least_loaded_routing = options.least_loaded_routing;
-  // The legacy network loop admitted with 1e-9 slack to absorb the
-  // round-off of stacked reservations; pinned.
-  sim.admission_tolerance_bps = 1e-9;
   sim.policy = options.policy;
   sim.recorder = options.recorder;
   sim.metric_prefix = "netsim";
-  sim.trace_style = engine::SimulationOptions::TraceStyle::kNetwork;
   sim.expected_peak_calls = options.expected_peak_calls;
 
   const engine::SimulationResult r = engine::RunSimulation(profiles, sim, rng);

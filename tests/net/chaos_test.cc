@@ -113,6 +113,43 @@ TEST(ChaosTest, DifferentSeedDivergesButStillPasses) {
   EXPECT_NE(a.session_canonical, b.session_canonical);
 }
 
+TEST(ChaosTest, FinalTimeoutRescindsBeforeHolding) {
+  // rcbr_chaos's client with no retry budget: every timeout is the last
+  // one. The client must still rescind with an absolute resync at the
+  // acknowledged rate before it holds; otherwise a delta the server
+  // applied, whose grant was lost, stays on the server, and a later
+  // grant can carry a negative rate into the client's queue.
+  ChaosOptions options;
+  options.client.seed = 5;
+  options.client.slots = 400;
+  options.client.slot_seconds = 0.01;
+  options.client.upgrade_every_slots = 64;
+  options.client.heuristic.initial_rate_bits_per_slot = 32e3;
+  options.client.heuristic.granularity_bits_per_slot = 4e3;
+  options.client.heuristic.max_rate_bits_per_slot = 96e3;
+  options.client.heuristic.denial_cooldown_slots = 8;
+  options.client.retry.timeout_s = 0.06;
+  options.client.retry.max_retries = 0;
+  options.server.capacity_bps = 10e6;
+
+  sim::fault::FaultEvent burst;
+  burst.time_s = 0.2;
+  burst.kind = sim::fault::FaultKind::kRmLossBurst;
+  burst.duration_s = 3.0;
+  burst.loss_probability = 0.15;
+  options.plan.Add(burst);
+
+  const ChaosResult result = RunChaos(options);
+  EXPECT_TRUE(result.Passed())
+      << "completed=" << result.completed << " gave_up=" << result.gave_up
+      << " desyncs=" << result.desyncs << "\n"
+      << result.session_canonical;
+  EXPECT_GE(result.client.timeouts, 1);
+  EXPECT_GE(result.client.resyncs, result.client.timeouts);
+  EXPECT_EQ(result.server.protocol_errors, 0);
+  EXPECT_EQ(result.server_utilization_bps, 0.0);
+}
+
 TEST(ChaosTest, ReportJsonCarriesTheGateAndTheSession) {
   const ChaosOptions options = SmallChaos(5);
   const ChaosResult result = RunChaos(options);

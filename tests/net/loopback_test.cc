@@ -317,6 +317,57 @@ TEST_F(ServerFixture, FreshHelloWhileDrainingIsRefused) {
   }
 }
 
+TEST_F(ServerFixture, NegativeRateDeltaOrResyncIsRefused) {
+  // A session may only give back what it holds. On a 10 Mb/s port, B
+  // (holding 1 Mb/s) must not free A's 6 Mb/s with Delta(-6e6), nor C
+  // claim a negative rate by resync; otherwise an 8 Mb/s session would
+  // be admitted next to A's 6.
+  ServerOptions server_options;
+  server_options.capacity_bps = 10e6;
+  StartServer(server_options);
+  const auto admit = [&](std::uint64_t vci, double rate_bps) {
+    std::optional<RawPeer> peer = RawPeer::Connect(server_->port());
+    EXPECT_TRUE(peer.has_value());
+    if (!peer.has_value()) return peer;
+    EXPECT_TRUE(peer->Send(HelloFrame(rate_bps, vci)));
+    const std::optional<Frame> welcome = peer->Next();
+    EXPECT_TRUE(welcome.has_value() && welcome->type == FrameType::kWelcome &&
+                welcome->accepted);
+    return peer;
+  };
+  std::optional<RawPeer> a = admit(1, 6e6);
+  std::optional<RawPeer> b = admit(2, 1e6);
+  std::optional<RawPeer> c = admit(3, 1e6);
+  ASSERT_TRUE(a.has_value() && b.has_value() && c.has_value());
+
+  Frame delta;
+  delta.type = FrameType::kDelta;
+  delta.delta_bps = -6e6;
+  ASSERT_TRUE(b->Send(delta));
+  ExpectError(*b, WireError::kNegativeRate);
+
+  Frame resync;
+  resync.type = FrameType::kResync;
+  resync.rate_bps = -1e6;
+  ASSERT_TRUE(c->Send(resync));
+  ExpectError(*c, WireError::kNegativeRate);
+
+  std::optional<RawPeer> d = RawPeer::Connect(server_->port());
+  ASSERT_TRUE(d.has_value());
+  ASSERT_TRUE(d->Send(HelloFrame(8e6, 4)));
+  const std::optional<Frame> welcome = d->Next();
+  ASSERT_TRUE(welcome.has_value());
+  ASSERT_EQ(welcome->type, FrameType::kWelcome);
+  EXPECT_FALSE(welcome->accepted);
+
+  server_->Stop();
+  thread_.join();
+  EXPECT_EQ(server_->stats().protocol_errors, 2);
+  EXPECT_EQ(server_->utilization_bps(), 8e6);
+  EXPECT_EQ(server_->TrackedRate(1), 6e6);
+  EXPECT_EQ(server_->TrackedRate(2), 1e6);
+}
+
 TEST_F(ServerFixture, ResyncHelloRepairsACrashedServerByteExactly) {
   StartServer(ServerOptions{});
   const double odd_rate = 0.1 + 0.2;  // 0.30000000000000004 — bits matter

@@ -117,8 +117,6 @@ TEST(PortController, AdmitRejectsNegativeRate) {
 TEST(PortController, RejectsNaNArguments) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(PortController{nan}, InvalidArgument);
-  EXPECT_THROW((PortController(10.0, true, nullptr, nan)), InvalidArgument);
-  EXPECT_THROW((PortController(10.0, true, nullptr, -1.0)), InvalidArgument);
   PortController port(10.0);
   port.AdmitConnection(1, 4.0);
   EXPECT_THROW(port.Handle(RmCell::Delta(1, nan), 0.0), InvalidArgument);
@@ -127,11 +125,10 @@ TEST(PortController, RejectsNaNArguments) {
 }
 
 TEST(PortController, ToleranceBoundaryIsExact) {
-  // Accept iff utilization + delta <= capacity + tolerance: the exact
-  // boundary is accepted, one ULP past it is denied.
-  const double tolerance = 1e-9;
-  const double boundary = 10.0 + tolerance;
-  PortController port(10.0, true, nullptr, tolerance);
+  // Accept iff utilization + delta <= capacity + kAdmissionToleranceBps:
+  // the exact boundary is accepted, one ULP past it is denied.
+  const double boundary = 10.0 + kAdmissionToleranceBps;
+  PortController port(10.0);
   port.AdmitConnection(1, 0.0);
   EXPECT_TRUE(port.Handle(RmCell::Delta(1, boundary), 0.0).accepted);
   port.Handle(RmCell::Resync(1, 0.0), 0.0);

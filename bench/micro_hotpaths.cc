@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the hot paths: fluid-queue steps,
-// DP trellis slots, signaling admission, event-queue schedule/pop, and
-// trace synthesis.
+// DP trellis slots, signaling admission, memory-MBAC decisions and
+// updates, event-queue schedule/pop, and trace synthesis.
 #include <benchmark/benchmark.h>
 
+#include "admission/policies.h"
 #include "core/dp_scheduler.h"
 #include "core/online_heuristic.h"
 #include "signaling/port_controller.h"
@@ -40,6 +41,64 @@ void BM_PortControllerDelta(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PortControllerDelta);
+
+// A memory-MBAC policy on the MBAC experiments' 41-level grid (64 kb/s
+// steps) holding `calls` live calls, each with a few levels of history.
+admission::MemoryPolicy LoadedMemoryPolicy(std::size_t calls, Rng& rng) {
+  admission::PolicyOptions options;
+  options.target_failure_probability = 1e-4;
+  options.rate_grid_bps = UniformGrid(0.0, 2.56e6, 41);
+  admission::MemoryPolicy policy(options);
+  for (std::uint64_t id = 0; id < calls; ++id) {
+    double rate = rng.Uniform(0.2e6, 1.2e6);
+    policy.OnAdmitted(0.0, id, rate);
+    for (double t = 10.0; t < 100.0; t += 10.0) {
+      const double next = rng.Uniform(0.2e6, 2.5e6);
+      policy.OnRateChange(t + rng.Uniform(0.0, 5.0), id, rate, next);
+      rate = next;
+    }
+  }
+  return policy;
+}
+
+// One admission decision (pooled history + Chernoff test) against
+// `range(0)` live calls; the pool is O(grid), so the cost stays flat in
+// the call count.
+void BM_MemoryPolicyAdmit(benchmark::State& state) {
+  const std::size_t calls = static_cast<std::size_t>(state.range(0));
+  Rng rng(5);
+  admission::MemoryPolicy policy = LoadedMemoryPolicy(calls, rng);
+  // Room for the calls at a little above their ~1 Mb/s mean, so the test
+  // reaches the Chernoff exponent rather than an early exit.
+  const sim::LinkView view{1.3e6 * static_cast<double>(calls), 0.0,
+                           nullptr};
+  double now = 200.0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.Admit(now, view, 1e6));
+    now += 1e-3;
+  }
+}
+BENCHMARK(BM_MemoryPolicyAdmit)->Arg(100)->Arg(1000)->Arg(10000);
+
+// One renegotiation reaching the policy: close the call's open interval
+// and move it to its new level, with 1000 live calls.
+void BM_MemoryPolicyRateChange(benchmark::State& state) {
+  constexpr std::uint64_t kCalls = 1000;
+  Rng rng(6);
+  admission::MemoryPolicy policy = LoadedMemoryPolicy(kCalls, rng);
+  std::vector<double> rates(4096);
+  for (double& r : rates) r = rng.Uniform(0.2e6, 2.5e6);
+  double now = 200.0;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    policy.OnRateChange(now, i % kCalls, 0.0, rates[i & 4095]);
+    benchmark::ClobberMemory();
+    now += 1e-3;
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(i));
+}
+BENCHMARK(BM_MemoryPolicyRateChange);
 
 // The classic hold model: keep `range(0)` events pending, repeatedly pop
 // the earliest and schedule a replacement a random offset ahead. This is

@@ -132,8 +132,9 @@ bool MemorylessPolicy::AdmitAtRung(double now, const sim::LinkView& view,
 }
 
 MemoryPolicy::MemoryPolicy(PolicyOptions options)
-    : options_(std::move(options)) {
-  Require(!options_.rate_grid_bps.empty(), "MemoryPolicy: empty rate grid");
+    : options_(std::move(options)),
+      grid_(options_.rate_grid_bps),
+      pool_(options_.rate_grid_bps.size()) {
   Require(options_.target_failure_probability > 0 &&
               options_.target_failure_probability < 1,
           "MemoryPolicy: target must be in (0,1)");
@@ -213,12 +214,63 @@ void AgedMemoryPolicy::OnDeparture(double /*now*/, std::uint64_t call_id,
   calls_.erase(call_id);
 }
 
+namespace {
+
+/// Event times enter the pool as integer nanosecond ticks. |t| <= 1e9 s
+/// keeps every tick below 2^60 and every interval below 2^61; a call's
+/// closed ticks per level are checked against int64 overflow as they grow,
+/// and the per-level sums are WideTicks, which no int64 count of calls can
+/// overflow (2^63 calls x 2^63 ticks < 2^127).
+constexpr double kMaxPoolSeconds = 1e9;
+
+std::int64_t ToTicks(double t) {
+  Require(std::abs(t) <= kMaxPoolSeconds,
+          "MemoryPolicy: event time outside +-1e9 s");
+  return std::llround(t * 1e9);
+}
+
+}  // namespace
+
+void MemoryPolicy::Enter(CallHistory& call, std::size_t level,
+                         std::int64_t since) {
+  call.level = level;
+  call.since = since;
+  LevelPool& pool = pool_[level];
+  ++pool.open;
+  pool.open_since += since;
+  latest_entry_ = std::max(latest_entry_, since);
+}
+
+void MemoryPolicy::Leave(CallHistory& call, std::int64_t until) {
+  const std::int64_t held = std::max<std::int64_t>(until - call.since, 0);
+  std::int64_t& closed = call.closed[call.level];
+  Require(closed <= std::numeric_limits<std::int64_t>::max() - held,
+          "MemoryPolicy: a call's history overflows int64 ticks");
+  closed += held;
+  LevelPool& pool = pool_[call.level];
+  pool.closed += held;
+  --pool.open;
+  pool.open_since -= call.since;
+}
+
+std::vector<WideTicks> MemoryPolicy::PooledTicks(double now) const {
+  const std::int64_t t = ToTicks(now);
+  Require(t >= latest_entry_,
+          "MemoryPolicy: decision before the latest rate change");
+  std::vector<WideTicks> pooled(pool_.size());
+  for (std::size_t r = 0; r < pool_.size(); ++r) {
+    pooled[r] = pool_[r].closed + pool_[r].open * WideTicks{t} -
+                pool_[r].open_since;
+  }
+  return pooled;
+}
+
 Histogram MemoryPolicy::PooledHistory(double now) const {
+  // Weights stay in ticks: the Chernoff test only reads their ratios.
+  const std::vector<WideTicks> ticks = PooledTicks(now);
   Histogram pooled(options_.rate_grid_bps);
-  for (const auto& [id, call] : calls_) {
-    pooled.Merge(call.levels);
-    const double open = now - call.since;
-    if (open > 0) pooled.AddNearest(call.current_rate, open);
+  for (std::size_t r = 0; r < ticks.size(); ++r) {
+    if (ticks[r] > 0) pooled.AddAt(r, static_cast<double>(ticks[r]));
   }
   return pooled;
 }
@@ -248,8 +300,11 @@ bool MemoryPolicy::AdmitAtRung(double now, const sim::LinkView& view,
 
 void MemoryPolicy::OnAdmitted(double now, std::uint64_t call_id,
                               double rate_bps) {
-  CallHistory history{Histogram(options_.rate_grid_bps), now, rate_bps};
-  calls_.emplace(call_id, std::move(history));
+  const std::int64_t t = ToTicks(now);
+  const auto [it, inserted] = calls_.try_emplace(call_id);
+  if (!inserted) return;
+  it->second.closed.assign(pool_.size(), 0);
+  Enter(it->second, grid_.NearestIndex(rate_bps), t);
 }
 
 void MemoryPolicy::OnRateChange(double now, std::uint64_t call_id,
@@ -257,16 +312,21 @@ void MemoryPolicy::OnRateChange(double now, std::uint64_t call_id,
                                 double new_rate_bps) {
   auto it = calls_.find(call_id);
   if (it == calls_.end()) return;
-  CallHistory& call = it->second;
-  const double held = now - call.since;
-  if (held > 0) call.levels.AddNearest(call.current_rate, held);
-  call.current_rate = new_rate_bps;
-  call.since = now;
+  const std::int64_t t = ToTicks(now);
+  Leave(it->second, t);
+  Enter(it->second, grid_.NearestIndex(new_rate_bps), t);
 }
 
 void MemoryPolicy::OnDeparture(double /*now*/, std::uint64_t call_id,
                                double /*rate_bps*/) {
-  calls_.erase(call_id);
+  auto it = calls_.find(call_id);
+  if (it == calls_.end()) return;
+  CallHistory& call = it->second;
+  Leave(call, call.since);  // the open interval leaves with the call
+  for (std::size_t r = 0; r < pool_.size(); ++r) {
+    pool_[r].closed -= call.closed[r];
+  }
+  calls_.erase(it);
 }
 
 }  // namespace rcbr::admission

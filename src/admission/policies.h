@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -125,7 +126,19 @@ class AgedMemoryPolicy final : public sim::AdmissionPolicy {
   std::unordered_map<std::uint64_t, CallHistory> calls_;
 };
 
+/// Signed 128-bit integer for sums of nanosecond ticks over many calls.
+using WideTicks = __int128;
+
 /// Memory-based MBAC: time-weighted per-call reservation histories.
+///
+/// The pooled history — how long each grid level has been reserved by the
+/// calls currently in the system — is kept incrementally in exact integer
+/// nanosecond ticks, so a decision costs O(rate grid) however many calls
+/// are live, and the pool does not depend on the order in which calls
+/// were seen. Per grid level r the policy keeps the closed intervals of
+/// the live calls, the number of calls open at r and the sum of their
+/// entry ticks; the pooled weight at tick T is
+/// closed[r] + open[r]·T − open_since[r].
 class MemoryPolicy final : public sim::AdmissionPolicy {
  public:
   explicit MemoryPolicy(PolicyOptions options);
@@ -143,18 +156,37 @@ class MemoryPolicy final : public sim::AdmissionPolicy {
   void OnDeparture(double now, std::uint64_t call_id,
                    double rate_bps) override;
 
+  /// Pooled reservation time of the live calls per rate-grid level at
+  /// `now`, in ticks: the mass the Chernoff test normalizes. `now` must not
+  /// precede the latest admission or rate change.
+  std::vector<WideTicks> PooledTicks(double now) const;
+
  private:
   struct CallHistory {
-    Histogram levels;
-    double since = 0;        // when the current level was entered
-    double current_rate = 0; // bits/s
+    std::vector<std::int64_t> closed;  // closed ticks per grid level
+    std::int64_t since = 0;            // tick the current level was entered
+    std::size_t level = 0;             // grid index of the current rate
+  };
+  struct LevelPool {
+    WideTicks closed = 0;      // closed ticks of the live calls
+    std::int64_t open = 0;     // live calls currently at this level
+    WideTicks open_since = 0;  // sum of their entry ticks
   };
 
-  /// Accumulates the open interval [since, now) of every call into its
-  /// histogram, then returns the pooled marginal estimate.
+  /// Opens the call's interval at `level` from tick `since`.
+  void Enter(CallHistory& call, std::size_t level, std::int64_t since);
+  /// Closes the call's open interval (ending at `until`, or discarding it
+  /// when `until` is before the entry tick) and leaves its level.
+  void Leave(CallHistory& call, std::int64_t until);
+
+  /// The pooled history as the Chernoff test's histogram.
   Histogram PooledHistory(double now) const;
 
   PolicyOptions options_;
+  Histogram grid_;  // rate-grid lookups only; carries no mass
+  std::vector<LevelPool> pool_;
+  // Latest tick a level was entered: the earliest valid decision tick.
+  std::int64_t latest_entry_ = std::numeric_limits<std::int64_t>::min();
   std::unordered_map<std::uint64_t, CallHistory> calls_;
 };
 

@@ -35,12 +35,40 @@ struct CallProfile {
   }
 };
 
+/// The current reserved rate of every active call on a link (bits/s),
+/// read like a pointer to the vector. Either it points at rates gathered
+/// up front, or it gathers them on first dereference, so a policy that
+/// never reads them costs the simulator nothing. A gathering CallRates
+/// reads the simulator's live state: use it only during the
+/// AdmissionPolicy call it is passed to.
+class CallRates {
+ public:
+  CallRates() = default;
+  CallRates(const std::vector<double>* rates) : given_(rates) {}
+  explicit CallRates(std::function<std::vector<double>()> gather)
+      : gather_(std::move(gather)) {}
+
+  const std::vector<double>& operator*() const {
+    if (given_ != nullptr) return *given_;
+    if (!gathered_) {
+      rates_ = gather_();
+      gathered_ = true;
+    }
+    return rates_;
+  }
+
+ private:
+  const std::vector<double>* given_ = nullptr;
+  std::function<std::vector<double>()> gather_;
+  mutable std::vector<double> rates_;
+  mutable bool gathered_ = false;
+};
+
 /// What an admission policy may observe about the link.
 struct LinkView {
   double capacity_bps = 0;
   double reserved_bps = 0;
-  /// Current reserved rate of every active call (bits/s).
-  const std::vector<double>* call_rates = nullptr;
+  CallRates call_rates;
 };
 
 /// Admission decisions and system notifications. Implementations live in

@@ -328,10 +328,10 @@ class Simulation {
   }
 
   /// Granted rates of every active call crossing `link`, in the active
-  /// index's iteration order. The index is an unordered_map keyed by call
-  /// id with exactly the legacy active-map's insert/erase sequence, so
-  /// its iteration order — and therefore the MBAC estimators' summation
-  /// order — matches the pre-refactor map bit-for-bit (pinned).
+  /// index's iteration order. Admission reads them lazily through
+  /// LinkView::call_rates; of the estimators only MemorylessPolicy does,
+  /// and it tallies 1.0 per call, which is exact in any order, so no MBAC
+  /// sum depends on that order.
   std::vector<double> RatesOn(std::size_t link) const {
     std::vector<double> rates;
     rates.reserve(index_.size());
@@ -444,9 +444,9 @@ class Simulation {
       bool ok = true;
       if (options_.policy != nullptr) {
         const std::size_t link = BottleneckLink(*selected.route);
-        const std::vector<double> rates = RatesOn(link);
         const LinkView view{options_.link_capacities_bps[link],
-                            ports_->port(link).utilization_bps(), &rates};
+                            ports_->port(link).utilization_bps(),
+                            CallRates([this, link] { return RatesOn(link); })};
         ok = options_.policy->AdmitAtRung(now, view, rung_rate, r);
       }
       if (ok) {
@@ -848,12 +848,11 @@ class Simulation {
   std::vector<std::vector<std::size_t>> path_index_;
   /// SoA slot-map of active calls (schedules, rates, routes).
   CallStore store_;
-  /// Call id -> store handle. Kept as an unordered_map with the legacy
-  /// active-map's exact insert/erase sequence: RatesOn iterates it, and
-  /// that iteration order feeds the MBAC estimators' float sums, which
-  /// the hexfloat regression pins fix bit-for-bit. Do not reserve() it —
-  /// the legacy map never did, and the bucket-count trajectory is part
-  /// of the iteration order.
+  /// Call id -> store handle. RatesOn and CallsCrossing iterate it, and no
+  /// float sum depends on that order: CallsCrossing sorts by id, and
+  /// RatesOn's one estimator reader (MemorylessPolicy) tallies 1.0 per
+  /// call. It is left un-reserved, as it always was, so policies still see
+  /// the rates in the same order.
   std::unordered_map<std::uint64_t, std::uint32_t> index_;
   /// Lossy renegotiators, slab-indexed by store handle (only bound when
   /// the run is lossy; never iterated).

@@ -1,12 +1,15 @@
 // Google-benchmark microbenchmarks for the hot paths: fluid-queue steps,
-// DP trellis slots, signaling admission, memory-MBAC decisions and
-// updates, event-queue schedule/pop, and trace synthesis.
+// DP trellis slots, signaling admission and VCI lookups, memory-MBAC
+// decisions and updates, the Chernoff test, event-queue schedule/pop, and
+// trace synthesis.
 #include <benchmark/benchmark.h>
 
 #include "admission/policies.h"
 #include "core/dp_scheduler.h"
 #include "core/online_heuristic.h"
+#include "ldev/chernoff.h"
 #include "signaling/port_controller.h"
+#include "signaling/vci_table.h"
 #include "sim/engine/event_queue.h"
 #include "sim/fluid_queue.h"
 #include "trace/star_wars.h"
@@ -42,6 +45,30 @@ void BM_PortControllerDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_PortControllerDelta);
 
+// Find and Upsert on a table tracking 10^5 connections: the per-cell VCI
+// lookup behind every PortController verdict with tracked connections.
+void BM_VciTableFindUpsert(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  signaling::VciTable table;
+  table.Reserve(static_cast<std::size_t>(n));
+  for (std::int64_t vci = 1; vci <= n; ++vci) {
+    table.Upsert(static_cast<std::uint64_t>(vci)) = 1e6;
+  }
+  Rng rng(8);
+  std::vector<std::uint64_t> vcis(4096);
+  for (std::uint64_t& v : vcis) {
+    v = static_cast<std::uint64_t>(rng.UniformInt(1, n));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Find(vcis[i & 4095]));
+    table.Upsert(vcis[(i + 1) & 4095]) += 64e3;
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(i));
+}
+BENCHMARK(BM_VciTableFindUpsert)->Arg(100000);
+
 // A memory-MBAC policy on the MBAC experiments' 41-level grid (64 kb/s
 // steps) holding `calls` live calls, each with a few levels of history.
 admission::MemoryPolicy LoadedMemoryPolicy(std::size_t calls, Rng& rng) {
@@ -68,9 +95,10 @@ void BM_MemoryPolicyAdmit(benchmark::State& state) {
   const std::size_t calls = static_cast<std::size_t>(state.range(0));
   Rng rng(5);
   admission::MemoryPolicy policy = LoadedMemoryPolicy(calls, rng);
-  // Room for the calls at a little above their ~1 Mb/s mean, so the test
-  // reaches the Chernoff exponent rather than an early exit.
-  const sim::LinkView view{1.3e6 * static_cast<double>(calls), 0.0,
+  // Room for the calls at 1.5 Mb/s each, above their pooled ~1.32 Mb/s
+  // mean and below the 2.5 Mb/s peak, so the test reaches the Chernoff
+  // exponent rather than an early exit.
+  const sim::LinkView view{1.5e6 * static_cast<double>(calls), 0.0,
                            nullptr};
   double now = 200.0;
   for (auto _ : state) {
@@ -79,6 +107,31 @@ void BM_MemoryPolicyAdmit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemoryPolicyAdmit)->Arg(100)->Arg(1000)->Arg(10000);
+
+// The Chernoff test alone (the tilting-point solve and exp(-N I)) on the
+// 41-level pooled distribution of 1000 live calls, with the capacity
+// swept so no two decisions solve the same equation.
+void BM_ChernoffAdmit(benchmark::State& state) {
+  constexpr std::size_t kCalls = 1000;
+  Rng rng(5);
+  const admission::MemoryPolicy policy = LoadedMemoryPolicy(kCalls, rng);
+  std::vector<double> weights;
+  for (admission::WideTicks t : policy.PooledTicks(200.0)) {
+    weights.push_back(static_cast<double>(t));
+  }
+  const ldev::DiscreteDistribution demand =
+      ldev::DiscreteDistribution::FromWeights(UniformGrid(0.0, 2.56e6, 41),
+                                              std::move(weights));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double capacity = (1.5e6 + 1e2 * static_cast<double>(i & 1023)) *
+                            static_cast<double>(kCalls);
+    benchmark::DoNotOptimize(ldev::ChernoffOverflowProbability(
+        demand, kCalls + 1, capacity));
+    ++i;
+  }
+}
+BENCHMARK(BM_ChernoffAdmit);
 
 // One renegotiation reaching the policy: close the call's open interval
 // and move it to its new level, with 1000 live calls.
@@ -132,6 +185,41 @@ void BM_EventQueueHoldCalendar(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(i));
 }
 BENCHMARK(BM_EventQueueHoldCalendar)->Arg(1024)->Arg(262144);
+
+// The hold model on a skewed population, the shape of a long multi-hop
+// MBAC run: a few seed events near the start and far-future outliers (the
+// fault plan, the end of measurement), then growth to `range(0)` pending
+// near-term events. A window cut over the seeds' whole span would leave
+// the population in the sorted run, at O(pending) per schedule; the
+// window that follows the population keeps the cost flat.
+void BM_EventQueueHoldSkewed(benchmark::State& state) {
+  const std::size_t pending = static_cast<std::size_t>(state.range(0));
+  sim::engine::EventQueue queue;
+  queue.Reserve(pending);
+  Rng rng(9);
+  std::vector<double> holds(4096);
+  for (double& h : holds) h = rng.Exponential(5.0);
+  sim::engine::EventPayload payload;
+  payload.kind = 1;
+  for (int i = 0; i < 4; ++i) queue.Post(rng.Uniform(0.0, 2.0), payload);
+  for (int i = 0; i < 16; ++i) {
+    queue.Post(rng.Uniform(1e8, 4e8), payload);  // never reached
+  }
+  std::size_t i = 0;
+  while (queue.size() < pending + 16) {  // growth, outside the clock
+    const sim::engine::ScheduledEvent event = queue.Pop();
+    queue.Post(event.time + holds[i++ & 4095], payload);
+    queue.Post(event.time + holds[i++ & 4095], payload);
+  }
+  for (auto _ : state) {
+    const sim::engine::ScheduledEvent event = queue.Pop();
+    benchmark::DoNotOptimize(event.time);
+    queue.Post(event.time + holds[i & 4095], payload);
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHoldSkewed)->Arg(1000)->Arg(100000);
 
 // Pure burst: schedule n events, then drain them all — call setup storms
 // and end-of-run teardowns.

@@ -9,17 +9,22 @@ namespace rcbr::admission {
 
 namespace {
 
+/// The Chernoff test's demand distribution: a histogram's mass,
+/// normalized by its running total.
+ldev::DiscreteDistribution Demand(const Histogram& estimate) {
+  return ldev::DiscreteDistribution(estimate.values(),
+                                    estimate.Probabilities());
+}
+
 /// Chernoff admission test shared by the estimating policies: admit iff
 /// the estimated failure probability with one more call stays at or below
-/// the target. `estimate` must carry positive mass. Decisions are
-/// reported through `obs` (if any) together with the Chernoff margin.
-bool ChernoffAdmit(const Histogram& estimate, std::int64_t current_calls,
-                   double capacity_bps, double target, obs::Recorder* obs,
-                   double now) {
-  const ldev::DiscreteDistribution dist(estimate.values(),
-                                        estimate.Probabilities());
+/// the target. Decisions are reported through `obs` (if any) together
+/// with the Chernoff margin.
+bool ChernoffAdmit(const ldev::DiscreteDistribution& demand,
+                   std::int64_t current_calls, double capacity_bps,
+                   double target, obs::Recorder* obs, double now) {
   const double failure =
-      ldev::ChernoffOverflowProbability(dist, current_calls + 1,
+      ldev::ChernoffOverflowProbability(demand, current_calls + 1,
                                         capacity_bps);
   const bool admit = failure <= target;
   if constexpr (obs::kEnabled) {
@@ -43,7 +48,7 @@ bool ChernoffAdmit(const Histogram& estimate, std::int64_t current_calls,
 /// easily, which is what turns blocking into downgrading. Decisions land
 /// on the same "mbac.*" counters plus "mbac.downgraded_admits", and the
 /// trace event carries the rung.
-bool ChernoffAdmitDowngraded(const Histogram& estimate,
+bool ChernoffAdmitDowngraded(const ldev::DiscreteDistribution& demand,
                              std::int64_t current_calls, double capacity_bps,
                              double rung_rate_bps, std::size_t rung,
                              double target, obs::Recorder* obs, double now) {
@@ -51,10 +56,8 @@ bool ChernoffAdmitDowngraded(const Histogram& estimate,
   bool admit = false;
   double failure = 1.0;
   if (residual > 0) {
-    const ldev::DiscreteDistribution dist(estimate.values(),
-                                          estimate.Probabilities());
     failure =
-        ldev::ChernoffOverflowProbability(dist, current_calls, residual);
+        ldev::ChernoffOverflowProbability(demand, current_calls, residual);
     admit = failure <= target;
   }
   if constexpr (obs::kEnabled) {
@@ -112,7 +115,8 @@ bool MemorylessPolicy::Admit(double now, const sim::LinkView& view,
                                    // simulator's capacity check applies
   Histogram snapshot(options_.rate_grid_bps);
   for (double r : rates) snapshot.AddNearest(r, 1.0);
-  return ChernoffAdmit(snapshot, static_cast<std::int64_t>(rates.size()),
+  return ChernoffAdmit(Demand(snapshot),
+                       static_cast<std::int64_t>(rates.size()),
                        view.capacity_bps,
                        options_.target_failure_probability,
                        options_.recorder, now);
@@ -126,9 +130,9 @@ bool MemorylessPolicy::AdmitAtRung(double now, const sim::LinkView& view,
   Histogram snapshot(options_.rate_grid_bps);
   for (double r : rates) snapshot.AddNearest(r, 1.0);
   return ChernoffAdmitDowngraded(
-      snapshot, static_cast<std::int64_t>(rates.size()), view.capacity_bps,
-      rung_rate_bps, rung, options_.target_failure_probability,
-      options_.recorder, now);
+      Demand(snapshot), static_cast<std::int64_t>(rates.size()),
+      view.capacity_bps, rung_rate_bps, rung,
+      options_.target_failure_probability, options_.recorder, now);
 }
 
 MemoryPolicy::MemoryPolicy(PolicyOptions options)
@@ -176,7 +180,8 @@ bool AgedMemoryPolicy::Admit(double now, const sim::LinkView& view,
   if (calls_.empty()) return true;
   const Histogram pooled = Pooled(now);
   if (pooled.total_weight() <= 0) return true;
-  return ChernoffAdmit(pooled, static_cast<std::int64_t>(calls_.size()),
+  return ChernoffAdmit(Demand(pooled),
+                       static_cast<std::int64_t>(calls_.size()),
                        view.capacity_bps,
                        options_.target_failure_probability,
                        options_.recorder, now);
@@ -189,9 +194,9 @@ bool AgedMemoryPolicy::AdmitAtRung(double now, const sim::LinkView& view,
   const Histogram pooled = Pooled(now);
   if (pooled.total_weight() <= 0) return true;
   return ChernoffAdmitDowngraded(
-      pooled, static_cast<std::int64_t>(calls_.size()), view.capacity_bps,
-      rung_rate_bps, rung, options_.target_failure_probability,
-      options_.recorder, now);
+      Demand(pooled), static_cast<std::int64_t>(calls_.size()),
+      view.capacity_bps, rung_rate_bps, rung,
+      options_.target_failure_probability, options_.recorder, now);
 }
 
 void AgedMemoryPolicy::OnAdmitted(double now, std::uint64_t call_id,
@@ -265,22 +270,28 @@ std::vector<WideTicks> MemoryPolicy::PooledTicks(double now) const {
   return pooled;
 }
 
-Histogram MemoryPolicy::PooledHistory(double now) const {
+std::optional<ldev::DiscreteDistribution> MemoryPolicy::PooledDemand(
+    double now) const {
   // Weights stay in ticks: the Chernoff test only reads their ratios.
   const std::vector<WideTicks> ticks = PooledTicks(now);
-  Histogram pooled(options_.rate_grid_bps);
+  std::vector<double> weights(ticks.size());
+  bool any = false;
   for (std::size_t r = 0; r < ticks.size(); ++r) {
-    if (ticks[r] > 0) pooled.AddAt(r, static_cast<double>(ticks[r]));
+    if (ticks[r] <= 0) continue;
+    weights[r] = static_cast<double>(ticks[r]);
+    any = true;
   }
-  return pooled;
+  if (!any) return std::nullopt;
+  return ldev::DiscreteDistribution::FromWeights(options_.rate_grid_bps,
+                                                 std::move(weights));
 }
 
 bool MemoryPolicy::Admit(double now, const sim::LinkView& view,
                          double /*initial_rate_bps*/) {
   if (calls_.empty()) return true;
-  const Histogram pooled = PooledHistory(now);
-  if (pooled.total_weight() <= 0) return true;
-  return ChernoffAdmit(pooled, static_cast<std::int64_t>(calls_.size()),
+  const std::optional<ldev::DiscreteDistribution> demand = PooledDemand(now);
+  if (!demand) return true;
+  return ChernoffAdmit(*demand, static_cast<std::int64_t>(calls_.size()),
                        view.capacity_bps,
                        options_.target_failure_probability,
                        options_.recorder, now);
@@ -290,10 +301,10 @@ bool MemoryPolicy::AdmitAtRung(double now, const sim::LinkView& view,
                                double rung_rate_bps, std::size_t rung) {
   if (rung == 0) return Admit(now, view, rung_rate_bps);
   if (calls_.empty()) return true;
-  const Histogram pooled = PooledHistory(now);
-  if (pooled.total_weight() <= 0) return true;
+  const std::optional<ldev::DiscreteDistribution> demand = PooledDemand(now);
+  if (!demand) return true;
   return ChernoffAdmitDowngraded(
-      pooled, static_cast<std::int64_t>(calls_.size()), view.capacity_bps,
+      *demand, static_cast<std::int64_t>(calls_.size()), view.capacity_bps,
       rung_rate_bps, rung, options_.target_failure_probability,
       options_.recorder, now);
 }

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -179,8 +180,9 @@ class MemoryPolicy final : public sim::AdmissionPolicy {
   /// when `until` is before the entry tick) and leaves its level.
   void Leave(CallHistory& call, std::int64_t until);
 
-  /// The pooled history as the Chernoff test's histogram.
-  Histogram PooledHistory(double now) const;
+  /// The pooled history as the Chernoff test's demand distribution, built
+  /// straight from the tick weights; nullopt when it carries no mass.
+  std::optional<ldev::DiscreteDistribution> PooledDemand(double now) const;
 
   PolicyOptions options_;
   Histogram grid_;  // rate-grid lookups only; carries no mass

@@ -33,17 +33,15 @@ double RefinedOverflowProbability(const DiscreteDistribution& demand,
     // Degenerate tilt: fall back to the bare estimate.
     return ChernoffOverflowProbability(demand, n_calls, capacity);
   }
-  const double s_star = TiltingPoint(demand, c);
-  const double exponent =
-      static_cast<double>(n_calls) *
-      (s_star * c - demand.LogMgf(s_star));
-  const double variance = demand.LogMgfSecondDerivative(s_star);
-  if (s_star <= 0 || variance <= 0) {
+  // The solve's last pass carries both the exponent and the variance.
+  const LogMgfPoint tilt = TiltingPoint(demand, c);
+  const double exponent = static_cast<double>(n_calls) * tilt.Gap(c);
+  if (tilt.s <= 0 || tilt.curvature <= 0) {
     return ChernoffOverflowProbability(demand, n_calls, capacity);
   }
   const double prefactor =
-      s_star * std::sqrt(2.0 * 3.14159265358979323846 *
-                         static_cast<double>(n_calls) * variance);
+      tilt.s * std::sqrt(2.0 * 3.14159265358979323846 *
+                         static_cast<double>(n_calls) * tilt.curvature);
   return std::min(1.0, std::exp(-exponent) / prefactor);
 }
 

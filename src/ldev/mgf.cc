@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.h"
 
@@ -10,6 +11,17 @@ namespace rcbr::ldev {
 namespace {
 
 constexpr double kProbTolerance = 1e-9;
+
+// The tilting-point solve stops once a step moves s by at most this
+// fraction of s. The stop rule is relative, so scaling the support by k
+// scales s* by 1/k and leaves the solve (and I) unchanged.
+constexpr double kRelativeStep = 1e-10;
+// Doubling or halving from the support's scale reaches any normal double
+// within this many steps.
+constexpr int kMaxBracketSteps = 2200;
+// Bisection alone needs about 34 steps to shrink the [s, 2s] bracket to a
+// relative 1e-10; Newton steps only shorten that.
+constexpr int kMaxSolveSteps = 200;
 
 }  // namespace
 
@@ -20,112 +32,101 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> values,
   Require(values_.size() == probs_.size(),
           "DiscreteDistribution: size mismatch");
   double total = 0;
-  for (double p : probs_) {
+  bool seen = false;
+  min_ = max_ = values_.front();
+  for (std::size_t j = 0; j < values_.size(); ++j) {
+    const double p = probs_[j];
     Require(p >= 0, "DiscreteDistribution: negative probability");
     total += p;
+    mean_ += values_[j] * p;
+    if (p == 0) continue;
+    min_ = seen ? std::min(min_, values_[j]) : values_[j];
+    max_ = seen ? std::max(max_, values_[j]) : values_[j];
+    seen = true;
   }
   Require(std::abs(total - 1.0) <= kProbTolerance,
           "DiscreteDistribution: probabilities must sum to 1");
 }
 
-double DiscreteDistribution::Mean() const {
-  double mean = 0;
-  for (std::size_t j = 0; j < values_.size(); ++j) {
-    mean += values_[j] * probs_[j];
-  }
-  return mean;
+DiscreteDistribution DiscreteDistribution::FromWeights(
+    std::span<const double> values, std::vector<double> weights) {
+  double total = 0;
+  for (double w : weights) total += w;
+  Require(total > 0, "DiscreteDistribution::FromWeights: no mass");
+  for (double& w : weights) w /= total;
+  return DiscreteDistribution(
+      std::vector<double>(values.begin(), values.end()), std::move(weights));
 }
 
-double DiscreteDistribution::Min() const {
-  bool seen = false;
-  double m = 0;
-  for (std::size_t j = 0; j < values_.size(); ++j) {
-    if (probs_[j] > 0 && (!seen || values_[j] < m)) {
-      m = values_[j];
-      seen = true;
-    }
-  }
-  return seen ? m : values_.front();
-}
-
-double DiscreteDistribution::Max() const {
-  bool seen = false;
-  double m = 0;
-  for (std::size_t j = 0; j < values_.size(); ++j) {
-    if (probs_[j] > 0 && (!seen || values_[j] > m)) {
-      m = values_[j];
-      seen = true;
-    }
-  }
-  return seen ? m : values_.front();
-}
-
-double DiscreteDistribution::LogMgf(double s) const {
-  // Overflow-safe: factor out the dominant exponent.
-  double m = -1e300;
-  for (std::size_t j = 0; j < values_.size(); ++j) {
-    if (probs_[j] > 0) m = std::max(m, s * values_[j]);
-  }
-  double acc = 0;
-  for (std::size_t j = 0; j < values_.size(); ++j) {
-    if (probs_[j] > 0) acc += probs_[j] * std::exp(s * values_[j] - m);
-  }
-  return m + std::log(acc);
-}
-
-double DiscreteDistribution::LogMgfDerivative(double s) const {
-  // Tilted mean: sum v p e^{sv} / sum p e^{sv}, overflow-safe.
-  double m = -1e300;
-  for (std::size_t j = 0; j < values_.size(); ++j) {
-    if (probs_[j] > 0) m = std::max(m, s * values_[j]);
-  }
-  double num = 0;
-  double den = 0;
+LogMgfPoint DiscreteDistribution::Evaluate(double s) const {
+  LogMgfPoint point;
+  point.s = s;
+  point.shift = s >= 0 ? max_ : min_;
+  double sum = 0;
+  double first = 0;
+  double second = 0;
   for (std::size_t j = 0; j < values_.size(); ++j) {
     if (probs_[j] == 0) continue;
-    const double w = probs_[j] * std::exp(s * values_[j] - m);
-    num += values_[j] * w;
-    den += w;
+    const double u = values_[j] - point.shift;
+    const double w = probs_[j] * std::exp(s * u);
+    sum += w;
+    first += u * w;
+    second += u * u * w;
   }
-  return num / den;
+  const double tilted_u = first / sum;
+  point.log_sum = std::log(sum);
+  point.slope = point.shift + tilted_u;
+  point.curvature = std::max(0.0, second / sum - tilted_u * tilted_u);
+  return point;
 }
 
-double DiscreteDistribution::LogMgfSecondDerivative(double s) const {
-  // Tilted variance: E_s[X^2] - (E_s[X])^2, overflow-safe.
-  double m = -1e300;
-  for (std::size_t j = 0; j < values_.size(); ++j) {
-    if (probs_[j] > 0) m = std::max(m, s * values_[j]);
-  }
-  double num1 = 0;
-  double num2 = 0;
-  double den = 0;
-  for (std::size_t j = 0; j < values_.size(); ++j) {
-    if (probs_[j] == 0) continue;
-    const double w = probs_[j] * std::exp(s * values_[j] - m);
-    num1 += values_[j] * w;
-    num2 += values_[j] * values_[j] * w;
-    den += w;
-  }
-  const double mean = num1 / den;
-  return num2 / den - mean * mean;
-}
-
-double TiltingPoint(const DiscreteDistribution& dist, double a) {
+LogMgfPoint TiltingPoint(const DiscreteDistribution& dist, double a) {
   Require(a > dist.Mean() && a < dist.Max(),
           "TiltingPoint: a must lie strictly between mean and max");
-  double lo = 0.0;
-  double hi = 1.0;
-  for (int i = 0; i < 200 && dist.LogMgfDerivative(hi) < a; ++i) hi *= 2;
-  for (int i = 0; i < 200; ++i) {
-    const double mid = (lo + hi) / 2;
-    if (dist.LogMgfDerivative(mid) < a) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    if (hi - lo <= 1e-12 * std::max(1.0, hi)) break;
+  // Bracket s* in [lo, hi = 2 lo], starting from the support's scale.
+  // Never start from s = 0: a peak of tiny mass makes Lambda''(0) tiny,
+  // and a first Newton step from there lands absurdly far out.
+  double s = 1.0 / (dist.Max() - dist.Min());
+  LogMgfPoint point = dist.Evaluate(s);
+  double lo = 0;
+  double hi = 0;
+  int steps = 0;
+  if (point.slope < a) {
+    do {
+      Require(++steps <= kMaxBracketSteps, "TiltingPoint: no bracket");
+      lo = s;
+      s *= 2;
+      point = dist.Evaluate(s);
+    } while (point.slope < a);
+    hi = s;
+  } else {
+    do {
+      // Below the smallest normal s, Lambda' cannot be told from the
+      // mean: the root is 0 to double precision and I is 0 with it.
+      if (s < std::numeric_limits<double>::min()) return point;
+      hi = s;
+      s /= 2;
+      point = dist.Evaluate(s);
+    } while (point.slope >= a);
+    lo = s;
   }
-  return (lo + hi) / 2;
+  // Newton on Lambda'(s) = a from the last bracket point. A step that
+  // leaves the bracket, or is not at most half the previous step, falls
+  // back to bisection, so the bracket or the step halves every pass.
+  double step = hi - lo;
+  for (int i = 0; i < kMaxSolveSteps; ++i) {
+    double next = s + (a - point.slope) / point.curvature;
+    if (!(next >= lo && next <= hi &&
+          2 * std::abs(next - s) <= std::abs(step))) {
+      next = lo + (hi - lo) / 2;
+    }
+    step = next - s;
+    if (std::abs(step) <= kRelativeStep * s) break;
+    s = next;
+    point = dist.Evaluate(s);
+    (point.slope < a ? lo : hi) = s;
+  }
+  return point;
 }
 
 double LegendreTransform(const DiscreteDistribution& dist, double a,
@@ -143,9 +144,8 @@ double LegendreTransform(const DiscreteDistribution& dist, double a,
     return p_peak > 0 ? -std::log(p_peak) : infinity_value;
   }
   // g(s) = s a - Lambda(s) is concave; its stationary point is the
-  // tilting parameter.
-  const double s_star = TiltingPoint(dist, a);
-  return s_star * a - dist.LogMgf(s_star);
+  // tilting parameter, and g(0) = 0 bounds the sup from below.
+  return std::max(0.0, TiltingPoint(dist, a).Gap(a));
 }
 
 }  // namespace rcbr::ldev

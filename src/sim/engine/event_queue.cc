@@ -1,7 +1,9 @@
 #include "sim/engine/event_queue.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 
 #include "util/error.h"
 
@@ -14,6 +16,14 @@ namespace {
 constexpr std::size_t kTargetEventsPerBucket = 4;
 constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
 
+// A window is skewed when its median event lies within 1/16 of the span
+// from the start: a few far-future events stretch a dense near-term
+// population. The window then ends at twice the median's distance and
+// the far events wait in overflow. The median is that of a strided
+// sample of at most kMedianSample events.
+constexpr double kSkewedMedianShare = 1.0 / 16;
+constexpr std::size_t kMedianSample = 63;
+
 }  // namespace
 
 void EventQueue::Post(double time, const EventPayload& payload) {
@@ -22,6 +32,10 @@ void EventQueue::Post(double time, const EventPayload& payload) {
   Require(std::isfinite(time), "EventQueue::Post: event time must be finite");
   const ScheduledEvent record{time, next_seq_++, payload};
   ++size_;
+  if (time < run_limit_ && run_.size() >= spill_at_ &&
+      run_.size() >= size_ / kSpillShare) {
+    Spill();
+  }
   if (time < run_limit_) {
     // Into the sorted run (descending by fire order; back() earliest).
     // Same-time bursts land here with increasing seq, so the insertion
@@ -62,6 +76,7 @@ void EventQueue::SettleRun() {
       if (cur_bucket_ < buckets_.size()) {
         run_.swap(buckets_[cur_bucket_]);
         std::sort(run_.begin(), run_.end(), Later{});
+        spill_at_ = std::max(kMinSpill, 2 * run_.size());
         ++cur_bucket_;
         // Everything earlier than the next bucket boundary is now in the
         // run, so same-window inserts below that boundary must join it.
@@ -77,8 +92,34 @@ void EventQueue::SettleRun() {
   }
 }
 
+void EventQueue::Spill() {
+  // The population has moved inside the window: the run has outgrown the
+  // bucket it was cut from. Hand the whole window back to overflow, so
+  // the next pop cuts a window that fits the population as it is now.
+  overflow_.insert(overflow_.end(), run_.begin(), run_.end());
+  run_.clear();
+  for (std::size_t i = cur_bucket_; i < buckets_.size(); ++i) {
+    overflow_.insert(overflow_.end(), buckets_[i].begin(), buckets_[i].end());
+    buckets_[i].clear();
+  }
+  window_active_ = false;
+  run_limit_ = -std::numeric_limits<double>::infinity();
+}
+
+double EventQueue::SampleMedianTime() const {
+  std::array<double, kMedianSample> sample{};
+  const std::size_t stride = overflow_.size() / kMedianSample + 1;
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < overflow_.size(); i += stride) {
+    sample[n++] = overflow_[i].time;
+  }
+  const auto mid = sample.begin() + n / 2;
+  std::nth_element(sample.begin(), mid, sample.begin() + n);
+  return *mid;
+}
+
 void EventQueue::Repartition() {
-  // Build a fresh bucket window spanning the overflow population. The
+  // Build a fresh bucket window over the overflow population. The
   // geometry only affects throughput, never ordering: every event is
   // placed by its exact time and buckets are sorted before popping.
   double tmin = overflow_.front().time;
@@ -87,17 +128,27 @@ void EventQueue::Repartition() {
     tmin = std::min(tmin, r.time);
     tmax = std::max(tmax, r.time);
   }
+  // The window covers [tmin, hi]: the whole span, or only its dense near
+  // part when a few far-future events skew it.
+  double hi = tmax;
+  std::size_t count = overflow_.size();
+  const double median = SampleMedianTime();
+  if (median > tmin && median - tmin < kSkewedMedianShare * (tmax - tmin)) {
+    hi = tmin + 2 * (median - tmin);
+    count = static_cast<std::size_t>(
+        std::count_if(overflow_.begin(), overflow_.end(),
+                      [hi](const ScheduledEvent& r) { return r.time <= hi; }));
+  }
   std::size_t nb = 1;
-  while (nb < overflow_.size() / kTargetEventsPerBucket + 1 &&
-         nb < kMaxBuckets) {
+  while (nb < count / kTargetEventsPerBucket + 1 && nb < kMaxBuckets) {
     nb <<= 1;
   }
-  double width = (tmax - tmin) / static_cast<double>(nb);
+  double width = (hi - tmin) / static_cast<double>(nb);
   if (!(width > 0) || !std::isfinite(width)) width = 1.0;
-  // The top boundary must strictly clear tmax, or the latest events
-  // would loop straight back into overflow. Widen until it does (a
-  // couple of doublings at most; Post admits only finite times).
-  while (tmin + width * static_cast<double>(nb) <= tmax) width *= 2;
+  // The top boundary must strictly clear hi, or the latest events would
+  // loop straight back into overflow. Widen until it does (a couple of
+  // doublings at most; Post admits only finite times).
+  while (tmin + width * static_cast<double>(nb) <= hi) width *= 2;
   bucket_base_ = tmin;
   bucket_width_ = width;
   if (buckets_.size() != nb) buckets_.resize(nb);
@@ -105,10 +156,17 @@ void EventQueue::Repartition() {
   window_end_ = BucketLower(nb);
   run_limit_ = tmin;
   window_active_ = true;
-  for (const ScheduledEvent& r : overflow_) {
-    buckets_[BucketIndex(r.time)].push_back(r);
+  // Events past a skewed window stay at the front of overflow, in place.
+  auto windowed = overflow_.begin();
+  if (hi < tmax) {
+    windowed = std::partition(
+        overflow_.begin(), overflow_.end(),
+        [this](const ScheduledEvent& r) { return r.time >= window_end_; });
   }
-  overflow_.clear();
+  for (auto it = windowed; it != overflow_.end(); ++it) {
+    buckets_[BucketIndex(it->time)].push_back(*it);
+  }
+  overflow_.erase(windowed, overflow_.end());
 }
 
 double EventQueue::next_time() {

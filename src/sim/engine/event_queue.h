@@ -10,9 +10,13 @@
 // The queue is a calendar/ladder queue: a sorted "run" of the earliest
 // events, a window of constant-width buckets ahead of it, and an unsorted
 // overflow list that is repartitioned into a fresh window when the
-// current one drains. Schedule and pop are O(1) amortized at any
-// pending-event count, which is what lets RunSimulation sustain 10^6+
-// concurrent calls (bench/macro_capacity). A plain binary min-heap over
+// current one drains. The window follows the event population: it
+// covers only the dense near part when a few far-future events skew the
+// span, and a run that outgrows its bucket (the population moved inside
+// a window cut for an earlier one) spills the window back for a fresh
+// cut. Schedule and pop are O(1) amortized at any pending-event count,
+// which is what lets RunSimulation sustain 10^6+ concurrent calls
+// (bench/macro_capacity). A plain binary min-heap over
 // the same comparator is the executable spec: it lives in the tests
 // (tests/sim/reference_event_heap.h), which pin the calendar queue to
 // its pop sequence.
@@ -89,8 +93,18 @@ class EventQueue {
   //  * active bucket i (cur_bucket_ <= i < buckets_.size()) holds only
   //    events with BucketLower(i) <= time < BucketLower(i+1);
   //  * overflow_ holds only events with time >= window_end_.
+  // The run spills back to overflow once it holds at least kMinSpill
+  // events, twice what its bucket brought (spill_at_), and 1/kSpillShare
+  // of the queue. The last two bound a spill's O(size) cost by the
+  // inserts that grew the run, and keep a same-time burst (which no
+  // window can split) from spilling again and again.
+  static constexpr std::size_t kMinSpill = 64;
+  static constexpr std::size_t kSpillShare = 8;
+
   void SettleRun();
+  void Spill();
   void Repartition();
+  double SampleMedianTime() const;
   std::size_t BucketIndex(double time) const;
   double BucketLower(std::size_t i) const {
     return bucket_base_ + bucket_width_ * static_cast<double>(i);
@@ -106,6 +120,7 @@ class EventQueue {
   double bucket_width_ = 1.0;
   double window_end_ = 0;
   double run_limit_ = 0;
+  std::size_t spill_at_ = kMinSpill;
   bool window_active_ = false;
   std::vector<ScheduledEvent> overflow_;
 };

@@ -54,18 +54,18 @@ TEST(LogMgf, OverflowSafeForHugeArguments) {
 
 TEST(LogMgfDerivative, IsTiltedMean) {
   const DiscreteDistribution d = Coin();
-  EXPECT_NEAR(d.LogMgfDerivative(0.0), 0.5, 1e-12);
+  EXPECT_NEAR(d.Evaluate(0.0).slope, 0.5, 1e-12);
   // As s -> inf the tilted mean approaches the max.
-  EXPECT_NEAR(d.LogMgfDerivative(50.0), 1.0, 1e-9);
+  EXPECT_NEAR(d.Evaluate(50.0).slope, 1.0, 1e-9);
   // As s -> -inf it approaches the min.
-  EXPECT_NEAR(d.LogMgfDerivative(-50.0), 0.0, 1e-9);
+  EXPECT_NEAR(d.Evaluate(-50.0).slope, 0.0, 1e-9);
 }
 
 TEST(LogMgfDerivative, MonotoneInS) {
   const DiscreteDistribution d({1.0, 2.0, 7.0}, {0.2, 0.5, 0.3});
-  double prev = d.LogMgfDerivative(-5.0);
+  double prev = d.Evaluate(-5.0).slope;
   for (double s = -4.5; s <= 5.0; s += 0.5) {
-    const double cur = d.LogMgfDerivative(s);
+    const double cur = d.Evaluate(s).slope;
     EXPECT_GE(cur, prev - 1e-12);
     prev = cur;
   }
@@ -113,17 +113,33 @@ TEST(LegendreTransform, IncreasingAboveMean) {
 TEST(LogMgfSecondDerivative, IsTiltedVariance) {
   const DiscreteDistribution d = Coin();
   // At s = 0 the tilted variance is the plain variance: 1/4.
-  EXPECT_NEAR(d.LogMgfSecondDerivative(0.0), 0.25, 1e-12);
+  EXPECT_NEAR(d.Evaluate(0.0).curvature, 0.25, 1e-12);
   // As s -> inf the tilted law degenerates at the max: variance -> 0.
-  EXPECT_NEAR(d.LogMgfSecondDerivative(60.0), 0.0, 1e-9);
-  EXPECT_GE(d.LogMgfSecondDerivative(1.3), 0.0);
+  EXPECT_NEAR(d.Evaluate(60.0).curvature, 0.0, 1e-9);
+  EXPECT_GE(d.Evaluate(1.3).curvature, 0.0);
+}
+
+TEST(LogMgf, OnePassAgreesWithClosedForms) {
+  // Coin: Lambda = log(1/2 + e^s/2), Lambda' = q, Lambda'' = q (1 - q)
+  // with q = e^s / (1 + e^s), on both sides of s = 0.
+  const DiscreteDistribution d = Coin();
+  for (double s : {-3.0, -0.25, 0.0, 0.5, 2.0, 30.0}) {
+    const LogMgfPoint p = d.Evaluate(s);
+    const double q = 1.0 / (1.0 + std::exp(-s));
+    EXPECT_EQ(p.s, s);
+    EXPECT_NEAR(p.value(), std::log(0.5 + 0.5 * std::exp(s)), 1e-12);
+    EXPECT_NEAR(p.slope, q, 1e-12) << "s=" << s;
+    EXPECT_NEAR(p.curvature, q * (1 - q), 1e-12) << "s=" << s;
+    EXPECT_NEAR(p.Gap(0.7), 0.7 * s - p.value(), 1e-12);
+  }
 }
 
 TEST(TiltingPoint, SolvesTheTiltEquation) {
   const DiscreteDistribution d({1.0, 2.0, 7.0}, {0.2, 0.5, 0.3});
   for (double a : {3.5, 4.0, 5.5, 6.5}) {
-    const double s = TiltingPoint(d, a);
-    EXPECT_NEAR(d.LogMgfDerivative(s), a, 1e-6) << "a=" << a;
+    const LogMgfPoint p = TiltingPoint(d, a);
+    EXPECT_NEAR(p.slope, a, 1e-9) << "a=" << a;
+    EXPECT_NEAR(d.Evaluate(p.s).slope, a, 1e-9) << "a=" << a;
   }
   EXPECT_THROW(TiltingPoint(d, 3.0), InvalidArgument);  // below mean 3.3
   EXPECT_THROW(TiltingPoint(d, 7.0), InvalidArgument);  // at the max

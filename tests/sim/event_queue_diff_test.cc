@@ -187,5 +187,57 @@ TEST(EventQueueDifferential, BackwardInTimePostsStillOrder) {
   ExpectMatchesReference(steps, "backward posts");
 }
 
+TEST(EventQueueDifferential, SkewedSeedsGrowingPopulationAndBursts) {
+  // The shape of a long multi-hop MBAC run: about 20 seed events, a few
+  // near the start and the rest (fault events, the end of measurement)
+  // spread over a 4200 s horizon. The population then grows to 10^4
+  // near-term events, with same-time bursts of 10^3 on top. The calendar
+  // queue and the reference heap run in lockstep: every pop must agree,
+  // whatever windows the queue cuts and spills on the way.
+  EventQueue queue;
+  ReferenceEventHeap heap;
+  Rng rng(2027);
+  std::uint64_t tag = 0;
+  const auto post = [&](double time, std::uint32_t kind) {
+    EventPayload payload;
+    payload.kind = kind;
+    payload.a = tag++;
+    queue.Post(time, payload);
+    heap.Post(time, payload);
+  };
+  std::size_t mismatches = 0;
+  const auto pop = [&] {
+    const ScheduledEvent got = queue.Pop();
+    const ScheduledEvent want = heap.Pop();
+    if (got.time != want.time || got.seq != want.seq ||
+        got.payload.a != want.payload.a) {
+      ++mismatches;
+    }
+    return got;
+  };
+  constexpr std::uint32_t kCall = 1;   // reschedules itself when popped
+  constexpr std::uint32_t kBurst = 2;  // fires once
+  for (int i = 0; i < 5; ++i) post(rng.Uniform(0.0, 2.0), kCall);
+  for (int i = 0; i < 16; ++i) post(rng.Uniform(250.0, 4200.0), kBurst);
+  constexpr std::size_t kPopulation = 10000;
+  for (int i = 0; i < 60000 && mismatches == 0; ++i) {
+    const ScheduledEvent event = pop();
+    const double now = event.time;
+    if (event.payload.kind == kCall) {
+      // The call's signaling hop, or its next rate step.
+      post(rng.Bernoulli(0.2) ? now + 1e-3 : now + rng.Exponential(5.0),
+           kCall);
+    }
+    if (queue.size() < kPopulation) post(now + rng.Exponential(5.0), kCall);
+    if (i % 7000 == 3000) {
+      const double burst = now + (i % 14000 == 3000 ? 0.0 : 0.25);
+      for (int k = 0; k < 1000; ++k) post(burst, kBurst);
+    }
+  }
+  while (!queue.empty() && mismatches == 0) pop();
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(heap.empty());
+}
+
 }  // namespace
 }  // namespace rcbr::sim::engine
